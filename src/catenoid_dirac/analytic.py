@@ -11,13 +11,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import CatenoidParams
 from .numeric import Grid, WavefunctionSamples, solve_bracketed
+from .potentials import (
+    PotentialModel,
+    ScarfVF,
+    _central_derivative,
+    _rspace_potential,
+    fermi_velocity,
+)
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
 __all__ = [
@@ -43,6 +49,26 @@ __all__ = [
     "partner_eigenfunction_pdfv",
     "partner_eigenfunction_constant",
 ]
+
+# Truncated boxes (half-width in units of R, sample count) of the numeric
+# normalizations: constant-velocity forms and sec^2-velocity forms.
+BOX_CONSTANT = (40.0, 16001)
+BOX_PDFV = (60.0, 24001)
+
+
+def _trapezoid_norm(values, u, weight=1.0) -> float:
+    """sqrt of the trapezoid integral of weight*values^2 over the samples u."""
+    return math.sqrt(np.trapezoid(weight * values**2, u))
+
+
+def _box_normalized(f, u, params: CatenoidParams, lam: float | None = None):
+    """f(u) divided by the norm of f on a truncated box: BOX_CONSTANT with
+    measure du, or, given the velocity scale lam, BOX_PDFV with the weight
+    1/v_F(u)^2."""
+    half, count = BOX_CONSTANT if lam is None else BOX_PDFV
+    uu = np.linspace(-half * params.R, half * params.R, count)
+    weight = 1.0 if lam is None else _pdfv_weight(params, lam, uu)
+    return f(u) / _trapezoid_norm(f(uu), uu, weight)
 
 
 @dataclass(frozen=True)
@@ -103,19 +129,13 @@ def jacobi_branch_params(m: int) -> JacobiBranchParams:
     a = sqrt(7+12m+4m^2)/4, b = sqrt(7-12m+4m^2)/4, M1 = 4b, M2 = 4a.
     Negative radicands are flagged instead of producing complex values.
     """
-    ra = 7.0 + 12.0 * m + 4.0 * m * m
-    rb = 7.0 - 12.0 * m + 4.0 * m * m
+    return _branch_from_radicands(m, 7.0 + 12.0 * m + 4.0 * m * m, 7.0 - 12.0 * m + 4.0 * m * m)
+
+
+def _branch_from_radicands(m: int, ra: float, rb: float) -> JacobiBranchParams:
     a = 0.25 * math.sqrt(ra) if ra >= 0.0 else math.nan
     b = 0.25 * math.sqrt(rb) if rb >= 0.0 else math.nan
-    return JacobiBranchParams(
-        m=m,
-        a=a,
-        b=b,
-        M1=4.0 * b if rb >= 0.0 else math.nan,
-        M2=4.0 * a if ra >= 0.0 else math.nan,
-        a_radicand=ra,
-        b_radicand=rb,
-    )
+    return JacobiBranchParams(m=m, a=a, b=b, M1=4.0 * b, M2=4.0 * a, a_radicand=ra, b_radicand=rb)
 
 
 def _constant_case_radicand(jp: JacobiBranchParams, n: int) -> float:
@@ -147,12 +167,15 @@ def energy_constant_case(
     return EnergyLevel(value=v_F / (2.0 * math.sqrt(2.0) * params.R) * math.sqrt(rad), valid=True)
 
 
-def _regularized_branch(m: int) -> JacobiBranchParams:
-    """Absolute-value regularization of complex radicands (plot support only)."""
-    ra = abs(7.0 + 12.0 * m + 4.0 * m * m)
-    rb = abs(7.0 - 12.0 * m + 4.0 * m * m)
-    a, b = 0.25 * math.sqrt(ra), 0.25 * math.sqrt(rb)
-    return JacobiBranchParams(m=m, a=a, b=b, M1=4 * b, M2=4 * a, a_radicand=ra, b_radicand=rb)
+def _branch_or_regularized(m: int, allow_invalid: bool) -> JacobiBranchParams:
+    """Branch parameters; complex radicands raise unless ``allow_invalid``,
+    which applies the absolute-value regularization (plot support only)."""
+    jp = jacobi_branch_params(m)
+    if jp.all_real:
+        return jp
+    if not allow_invalid:
+        raise ValueError(f"invalid branch parameters: {jp.invalid_reason}")
+    return _branch_from_radicands(m, abs(jp.a_radicand), abs(jp.b_radicand))
 
 
 def eigenfunction_constant_case(
@@ -171,11 +194,7 @@ def eigenfunction_constant_case(
     factor (1-t^2)^(1/4)).  Normalization is numeric over a truncated
     domain with measure du.
     """
-    jp = jacobi_branch_params(qn.m)
-    if not jp.all_real:
-        if not allow_invalid:
-            raise ValueError(f"invalid branch parameters: {jp.invalid_reason}")
-        jp = _regularized_branch(qn.m)
+    jp = _branch_or_regularized(qn.m, allow_invalid)
     u = np.asarray(u, dtype=float)
 
     def raw(uu):
@@ -183,23 +202,14 @@ def eigenfunction_constant_case(
         pj = jacobi(JacobiParams(qn.n, 2.0 * jp.a, 2.0 * jp.b), t)
         return (1.0 - t) ** (jp.a - exponent_shift) * (1.0 + t) ** (jp.b - exponent_shift) * pj
 
-    vals = raw(u)
-    if not normalize:
-        return vals
-    uu = np.linspace(-40.0 * params.R, 40.0 * params.R, 16001)
-    norm = math.sqrt(np.trapezoid(raw(uu) ** 2, uu))
-    return vals / norm
+    return _box_normalized(raw, u, params) if normalize else raw(u)
 
 
 def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = False):
     """r-space solution (1-r)^a (1+r)^b P_n^(2a,2b)(r) of the frozen-energy
     equation; this is the form whose differential-equation residual
     vanishes."""
-    jp = jacobi_branch_params(qn.m)
-    if not jp.all_real:
-        if not allow_invalid:
-            raise ValueError(f"invalid branch parameters: {jp.invalid_reason}")
-        jp = _regularized_branch(qn.m)
+    jp = _branch_or_regularized(qn.m, allow_invalid)
     r = np.asarray(r, dtype=float)
     pj = jacobi(JacobiParams(qn.n, 2.0 * jp.a, 2.0 * jp.b), r)
     return (1.0 - r) ** jp.a * (1.0 + r) ** jp.b * pj
@@ -208,9 +218,7 @@ def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = F
 def constant_case_rspace_potential(m: int, r):
     """Potential of the frozen-energy r-space problem, without the
     eigenvalue term: (r^2-2)/(4(1-r^2)) + 3mr/(1-r^2) + (m^2+2)/(1-r^2) - 4."""
-    r = np.asarray(r, dtype=float)
-    q = 1.0 - r * r
-    return (r * r - 2.0) / (4.0 * q) + 3.0 * m * r / q + (m * m + 2.0) / q - 4.0
+    return _rspace_potential(m, np.asarray(r, dtype=float))
 
 
 def constant_case_epsilon_sq(qn: QuantumNumbers) -> float:
@@ -282,6 +290,11 @@ def _edp_f(m: int, eps_sq: float) -> float:
     return math.sqrt(-11.0 + 8.0 * m * m - 12.0 * eps_sq)
 
 
+def _edp_condition(m: int, n: int, eps_sq: float) -> float:
+    f = _edp_f(m, eps_sq)
+    return f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq
+
+
 def energy_dependent_branch(
     m: int, n: int, r_count: int = 201
 ) -> tuple[float, WavefunctionSamples]:
@@ -298,8 +311,7 @@ def energy_dependent_branch(
         raise ValueError("need 8m^2 > 11 for a real oscillator frequency")
 
     def g(eps_sq: float) -> float:
-        f = _edp_f(m, eps_sq)
-        return f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq
+        return _edp_condition(m, n, eps_sq)
 
     # scan for a sign change, then bisect it down to 1e-12
     lo_edge = 0.0
@@ -326,8 +338,7 @@ def energy_dependent_branch(
 
 def energy_dependent_residual(m: int, n: int, eps_sq: float) -> float:
     """Back-substitution residual of the quantization relation."""
-    f = _edp_f(m, eps_sq)
-    return abs(f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq)
+    return abs(_edp_condition(m, n, eps_sq))
 
 
 def energy_dependent_potential(m: int, eps_sq: float, r):
@@ -478,8 +489,8 @@ def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: fl
 
 
 def _pdfv_weight(params: CatenoidParams, lam: float, u):
-    vf = lam * (1.0 + np.square(u) / params.R**2)
-    return 1.0 / vf**2
+    """Sturm-Liouville weight 1/v_F(u)^2 of the sec^2-velocity problem."""
+    return 1.0 / fermi_velocity(PotentialModel(ScarfVF(lam), 0), params, u) ** 2
 
 
 def eigenfunction_pdfv(
@@ -502,13 +513,11 @@ def eigenfunction_pdfv(
             f"Jacobi exponents ({scarf.jacobi_alpha:g}, {scarf.jacobi_beta:g}) "
             "are outside the classical range"
         )
-    vals = _pdfv_raw(params, scarf, qn.n, u)
-    if not normalize:
-        return vals
-    uu = np.linspace(-60.0 * params.R, 60.0 * params.R, 24001)
-    w = _pdfv_weight(params, scarf.lam, uu)
-    norm = math.sqrt(np.trapezoid(w * _pdfv_raw(params, scarf, qn.n, uu) ** 2, uu))
-    return vals / norm
+
+    def raw(uu):
+        return _pdfv_raw(params, scarf, qn.n, uu)
+
+    return _box_normalized(raw, u, params, scarf.lam) if normalize else raw(u)
 
 
 def superpotential_pdfv(scarf: ScarfParams, x):
@@ -541,13 +550,11 @@ def partner_eigenfunction_pdfv(
     shifted_energy = (scarf.A + qn.n + 1) ** 2 - scarf.A**2
     if not shifted_energy > 0.0:
         raise ValueError("the shared level coincides with the zero mode")
-    vals = _pdfv_raw(params, scarf, qn.n, u, a_shift=1.0)
-    if not normalize:
-        return vals
-    uu = np.linspace(-60.0 * params.R, 60.0 * params.R, 24001)
-    w = _pdfv_weight(params, scarf.lam, uu)
-    norm = math.sqrt(np.trapezoid(w * _pdfv_raw(params, scarf, qn.n, uu, a_shift=1.0) ** 2, uu))
-    return vals / norm
+
+    def raw(uu):
+        return _pdfv_raw(params, scarf, qn.n, uu, a_shift=1.0)
+
+    return _box_normalized(raw, u, params, scarf.lam) if normalize else raw(u)
 
 
 def partner_eigenfunction_constant(
@@ -561,20 +568,12 @@ def partner_eigenfunction_constant(
         raise ValueError(f"level n+1 is not valid: {level.reason}")
     if not level.value > 0.0:
         raise ValueError("the shared level coincides with the zero mode")
-    u = np.asarray(u, dtype=float)
-    h = 1e-6 * (1.0 + np.abs(u))
 
     def chi(uu):
         return eigenfunction_constant_case(params, QuantumNumbers(qn.n + 1, qn.m), uu, normalize=False)
 
-    deriv = (-chi(u + 2 * h) + 8 * chi(u + h) - 8 * chi(u - h) + chi(u - 2 * h)) / (12 * h)
-    w = qn.m / np.sqrt(params.R**2 + u * u)
-    raw = deriv + w * chi(u)
-    if not normalize:
-        return raw / level.value
-    uu = np.linspace(-40.0 * params.R, 40.0 * params.R, 16001)
-    hh = 1e-6 * (1.0 + np.abs(uu))
-    dv = (-chi(uu + 2 * hh) + 8 * chi(uu + hh) - 8 * chi(uu - hh) + chi(uu - 2 * hh)) / (12 * hh)
-    full = dv + qn.m / np.sqrt(params.R**2 + uu * uu) * chi(uu)
-    norm = math.sqrt(np.trapezoid(full**2, uu))
-    return raw / norm
+    def lowered(uu):
+        return _central_derivative(chi, uu) + qn.m / np.sqrt(params.R**2 + uu * uu) * chi(uu)
+
+    u = np.asarray(u, dtype=float)
+    return _box_normalized(lowered, u, params) if normalize else lowered(u) / level.value

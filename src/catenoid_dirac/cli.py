@@ -19,6 +19,8 @@ import numpy as np
 from . import __version__
 from .analytic import (
     QuantumNumbers,
+    _pdfv_weight,
+    _trapezoid_norm,
     constant_case_rspace_potential,
     eigenfunction_constant_case,
     energy_constant_case,
@@ -29,7 +31,7 @@ from .analytic import (
 from .geometry import CatenoidParams
 from .numeric import (
     Grid,
-    count_features,
+    WavefunctionSamples,
     discretize,
     discretize_sturm_liouville,
     eigen_tridiagonal,
@@ -46,7 +48,14 @@ from .potentials import (
     u_eff,
     v_eff,
 )
-from .susy import apply_ladder, catenoid_ground_state, catenoid_ground_state_derivative, catenoid_system, LadderDirection
+from .susy import (
+    LadderDirection,
+    apply_ladder,
+    catenoid_ground_state,
+    catenoid_ground_state_derivative,
+    catenoid_system,
+    check_intertwining,
+)
 
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 
@@ -123,15 +132,9 @@ def _numeric_levels_constant(m: int, count: int) -> np.ndarray:
     problem, where the discrete part of the spectrum is genuine."""
     delta = 1e-6
     grid = Grid(-1.0 + delta, 1.0 - delta, 4001)
-    r = grid.points
-
-    def p(rr):
-        return 1.0 - rr * rr
-
-    def q(rr):
-        return constant_case_rspace_potential(m, rr)
-
-    op = discretize_sturm_liouville(p, q, grid)
+    op = discretize_sturm_liouville(
+        lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(m, r), grid
+    )
     vals = eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues
     return vals[:count]
 
@@ -145,9 +148,9 @@ def _numeric_levels_pdfv(params: CatenoidParams, m: int, count: int) -> np.ndarr
 
 
 def cmd_spectrum(args) -> int:
-    if args.mode not in ("analytic", "numeric", "both"):
-        print(f"error: invalid mode {args.mode!r}", file=sys.stderr)
-        return 1
+    # reject a non-positive velocity and a negative level before writing
+    ConstantVF(args.vf)
+    QuantumNumbers(args.n, args.m)
     params = CatenoidParams(args.R)
     pdfv = args.lam is not None
     n_levels = args.n + 1
@@ -216,8 +219,7 @@ def cmd_wavefunction(args) -> int:
                 return 1
             validity_flags.append(scarf.reason)
         vals = eigenfunction_pdfv(params, scarf, qn, u, normalize=False)
-        weight = args.lam * (1.0 + np.square(u) / params.R**2)
-        weight = 1.0 / weight**2
+        weight = _pdfv_weight(params, args.lam, u)
         weight_label = "1/v_F(u)^2"
     else:
         level = energy_constant_case(params, args.vf, qn)
@@ -229,9 +231,9 @@ def cmd_wavefunction(args) -> int:
         vals = eigenfunction_constant_case(
             params, qn, u, normalize=False, allow_invalid=args.allow_invalid
         )
-        weight = np.ones_like(u)
+        weight = 1.0
         weight_label = "du"
-    norm = math.sqrt(np.trapezoid(weight * vals**2, u))
+    norm = _trapezoid_norm(vals, u, weight)
     if norm == 0.0:
         print("error: wavefunction vanishes on the requested grid", file=sys.stderr)
         return 1
@@ -253,6 +255,24 @@ def cmd_wavefunction(args) -> int:
     return 0
 
 
+def _partner_shift(W, dW, grid: Grid, count: int):
+    """Isospectral shift table of the partner pair W^2 -+ W' on grid.
+
+    Compares the partner levels E2_n with the first-system levels E1_(n+1)
+    for n < count; returns (E1_0, rows, worst relative discrepancy).
+    """
+    v1, v2 = partner_potentials_from_W(W, grid.points, dW=dW)
+    e1 = eigen_tridiagonal(discretize(lambda _: v1, grid), count + 2, grid=grid).eigenvalues
+    e2 = eigen_tridiagonal(discretize(lambda _: v2, grid), count + 1, grid=grid).eigenvalues
+    rows = []
+    worst = 0.0
+    for n in range(count):
+        rel = abs(e2[n] - e1[n + 1]) / abs(e1[n + 1])
+        worst = max(worst, rel)
+        rows.append({"n": n, "E1_next": e1[n + 1], "E2": e2[n], "relative_discrepancy": rel})
+    return e1[0], rows, worst
+
+
 def cmd_susy_check(args) -> int:
     params = CatenoidParams(args.R)
     checks = []
@@ -260,19 +280,11 @@ def cmd_susy_check(args) -> int:
 
     if args.mode == "harmonic":
         # oracle pair W = u: partners u^2 -+ 1 with known exact levels
-        grid = Grid(-10.0, 10.0, 4001)
-        u = grid.points
-        v1, v2 = partner_potentials_from_W(lambda x: x, u, dW=lambda x: np.ones_like(x))
-        e1 = eigen_tridiagonal(discretize(lambda x: np.interp(x, u, v1), grid), 7, grid=grid).eigenvalues
-        e2 = eigen_tridiagonal(discretize(lambda x: np.interp(x, u, v2), grid), 6, grid=grid).eigenvalues
-        checks.append({"name": "ground_state_at_zero", "value": abs(e1[0]),
-                       "tolerance": 1e-3, "pass": abs(e1[0]) < 1e-3})
-        shift = []
-        worst = 0.0
-        for n in range(5):
-            rel = abs(e2[n] - e1[n + 1]) / abs(e1[n + 1])
-            worst = max(worst, rel)
-            shift.append({"n": n, "E1_next": e1[n + 1], "E2": e2[n], "relative_discrepancy": rel})
+        ground, shift, worst = _partner_shift(
+            lambda x: x, lambda x: np.ones_like(x), Grid(-10.0, 10.0, 4001), 5
+        )
+        checks.append({"name": "ground_state_at_zero", "value": abs(ground),
+                       "tolerance": 1e-3, "pass": abs(ground) < 1e-3})
         checks.append({"name": "partner_shift", "value": worst, "tolerance": 1e-3,
                        "pass": worst < 1e-3})
     else:
@@ -297,15 +309,13 @@ def cmd_susy_check(args) -> int:
         dchi0 = catenoid_ground_state_derivative(params, args.m, grid.points)
         if args.inject_error:
             dchi0 = dchi0 + 0.5
-        ann = apply_ladder(sys_u, LadderDirection.LOWERING, _samples(grid, chi0),
-                           derivative=dchi0)
+        ann = apply_ladder(sys_u, LadderDirection.LOWERING,
+                           WavefunctionSamples(grid=grid, values=chi0), derivative=dchi0)
         ann_res = float(np.max(np.abs(ann.values)))
         checks.append({"name": "zero_mode_annihilation", "value": ann_res,
                        "tolerance": 1e-8, "pass": ann_res < 1e-8})
 
-        from .susy import check_intertwining
-
-        probe = _samples(grid, np.exp(-grid.points**2))
+        probe = WavefunctionSamples(grid=grid, values=np.exp(-grid.points**2))
         inter_res = float(check_intertwining(sys_u, probe))
         checks.append({"name": "intertwining", "value": inter_res,
                        "tolerance": 1e-3, "pass": inter_res < 1e-3})
@@ -315,25 +325,12 @@ def cmd_susy_check(args) -> int:
         scarf = scarf_params_physical(params, args.m, args.lam if args.lam else 1.0)
         if scarf.valid:
             A, B = scarf.A, scarf.B
-            xg = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
-
-            def w_x(x):
-                return A * np.tan(x) - B / np.cos(x)
-
-            def dw_x(x):
-                return A / np.cos(x) ** 2 - B * np.tan(x) / np.cos(x)
-
-            xv = xg.points
-            p1, p2 = partner_potentials_from_W(w_x, xv, dW=dw_x)
-            s1 = eigen_tridiagonal(discretize(lambda x: np.interp(x, xv, p1), xg), 6, grid=xg).eigenvalues
-            s2 = eigen_tridiagonal(discretize(lambda x: np.interp(x, xv, p2), xg), 5, grid=xg).eigenvalues
-            shift = []
-            worst = 0.0
-            for n in range(4):
-                rel = abs(s2[n] - s1[n + 1]) / abs(s1[n + 1])
-                worst = max(worst, rel)
-                shift.append({"n": n, "E1_next": s1[n + 1], "E2": s2[n],
-                              "relative_discrepancy": rel})
+            _, shift, worst = _partner_shift(
+                lambda x: A * np.tan(x) - B / np.cos(x),
+                lambda x: A / np.cos(x) ** 2 - B * np.tan(x) / np.cos(x),
+                Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001),
+                4,
+            )
             checks.append({"name": "partner_shift", "value": worst, "tolerance": 1e-3,
                            "pass": worst < 1e-3})
         else:
@@ -348,12 +345,6 @@ def cmd_susy_check(args) -> int:
     echo = _params_echo(args, ["R", "m", "vf", "lam", "mode"])
     _write_manifest(out, "susy-check", echo, {}, validity_flags)
     return 0 if not failures else 1
-
-
-def _samples(grid: Grid, values: np.ndarray):
-    from .numeric import WavefunctionSamples
-
-    return WavefunctionSamples(grid=grid, values=values)
 
 
 FIGURE_M = -2
@@ -404,53 +395,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_grid=True, need_n=False):
+    def common(p, need_grid=True, need_n=False, need_model=True, allow_invalid=False):
         p.add_argument("--R", type=float, default=1.0, help="throat radius (>0)")
-        p.add_argument("--m", type=int, default=2, help="angular momentum index")
+        if need_model:  # angular momentum and velocity profile
+            p.add_argument("--m", type=int, default=2, help="angular momentum index")
+            p.add_argument("--lambda", dest="lam", type=float, default=None,
+                           help="velocity scale of the position-dependent profile")
         p.add_argument("--vf", type=float, default=1.0, help="constant Fermi velocity (>0)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="velocity scale of the position-dependent profile")
         if need_n:
             p.add_argument("--n", type=int, default=3, help="level index (or maximum level)")
         if need_grid:
             p.add_argument("--umin", type=float, default=-10.0)
             p.add_argument("--umax", type=float, default=10.0)
             p.add_argument("--samples", type=int, default=1001)
-        p.add_argument("--format", choices=["csv", "json"], default=None)
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--allow-invalid", action="store_true",
-                       help="regularize parameter sets flagged by the realness check")
+        if allow_invalid:
+            p.add_argument("--allow-invalid", action="store_true",
+                           help="regularize parameter sets flagged by the realness check")
 
     p = sub.add_parser("potentials", help="export V_eff1, V_eff2, W (and U_eff1 with --lambda)")
     common(p)
-    p.set_defaults(func=cmd_potentials, format="csv")
+    p.set_defaults(func=cmd_potentials)
 
     p = sub.add_parser("spectrum", help="export energy levels 0..n")
     common(p, need_grid=False, need_n=True)
     p.add_argument("--mode", choices=["analytic", "numeric", "both"], default="analytic")
+    p.add_argument("--format", choices=["csv", "json"], default="json")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="export one eigenfunction and its density")
-    common(p, need_n=True)
-    p.set_defaults(func=cmd_wavefunction, format="csv")
+    common(p, need_n=True, allow_invalid=True)
+    p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("susy-check", help="run factorization checks, nonzero exit on failure")
     common(p, need_grid=False)
     p.add_argument("--mode", choices=["catenoid", "harmonic"], default="catenoid")
     p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_susy_check, format="json")
+    p.set_defaults(func=cmd_susy_check)
 
     p = sub.add_parser("report-figures",
                        help="export the density profiles at the flagged parameters plus a valid companion")
-    common(p, need_grid=True)
-    p.set_defaults(func=cmd_report_figures, format="csv")
+    common(p, need_model=False, allow_invalid=True)
+    p.set_defaults(func=cmd_report_figures)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.format is None:
-        args.format = "json" if args.command in ("spectrum", "susy-check") else "csv"
     try:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:

@@ -9,8 +9,8 @@ to the closed-form results it is used to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -57,12 +57,10 @@ class Grid:
 
 @dataclass
 class WavefunctionSamples:
-    """Sampled eigenfunction with optional normalization metadata."""
+    """Function values sampled on a grid."""
 
     grid: Grid
     values: np.ndarray
-    norm: Optional[float] = None
-    weight_label: str = "du"
 
 
 @dataclass(frozen=True)

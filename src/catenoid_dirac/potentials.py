@@ -21,7 +21,6 @@ __all__ = [
     "ConstantVF",
     "ScarfVF",
     "PotentialModel",
-    "AuxiliaryFunctions",
     "superpotential",
     "superpotential_derivative",
     "v_eff",
@@ -85,14 +84,6 @@ class PotentialModel:
         return self.branch.sign * self.m
 
 
-@dataclass(frozen=True)
-class AuxiliaryFunctions:
-    sigma: float
-    lambda_fn: float
-    kappa: float
-    delta: float
-
-
 def _check_x(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= math.pi / 2 - X_DOMAIN_MARGIN):
@@ -123,19 +114,21 @@ def v_eff(model: PotentialModel, params: CatenoidParams, u):
     return model.m**2 / g + model.branch.sign * model.m * u / g**1.5
 
 
+def _central_derivative(f: Callable, u: np.ndarray):
+    """5-point central difference of a callable with step h = 1e-6*(1+|u|)."""
+    h = 1e-6 * (1.0 + np.abs(u))
+    return (-f(u + 2 * h) + 8 * f(u + h) - 8 * f(u - h) + f(u - 2 * h)) / (12 * h)
+
+
 def partner_potentials_from_W(W: Callable, u, dW: Callable | None = None):
     """Partner pair (W^2 - W', W^2 + W') from a superpotential.
 
-    Falls back to a 5-point central difference with h = 1e-6*(1+|u|) when
-    no analytic derivative is supplied.
+    Falls back to a 5-point central difference when no analytic derivative
+    is supplied.
     """
     u = np.asarray(u, dtype=float)
     w = W(u)
-    if dW is not None:
-        wp = dW(u)
-    else:
-        h = 1e-6 * (1.0 + np.abs(u))
-        wp = (-W(u + 2 * h) + 8 * W(u + h) - 8 * W(u - h) + W(u - 2 * h)) / (12 * h)
+    wp = dW(u) if dW is not None else _central_derivative(W, u)
     return w * w - wp, w * w + wp
 
 
@@ -154,16 +147,6 @@ def fermi_velocity(model: PotentialModel, params: CatenoidParams, u):
     return model.kind.lam * (1.0 + np.square(u) / params.R**2)
 
 
-def _vf_derivatives(model: PotentialModel, params: CatenoidParams, u):
-    """(v_F, v_F', v_F'') with analytic derivatives."""
-    u = np.asarray(u, dtype=float)
-    if isinstance(model.kind, ConstantVF):
-        z = np.zeros_like(u)
-        return model.kind.v_F + z, z, z
-    lam, R2 = model.kind.lam, params.R**2
-    return lam * (1.0 + u * u / R2), 2.0 * lam * u / R2, 2.0 * lam / R2 + np.zeros_like(u)
-
-
 def kappa(model: PotentialModel, params: CatenoidParams, u):
     """Similarity weight (R^2+u^2)^(1/4)/sqrt(v_F(u))."""
     vf = fermi_velocity(model, params, u)
@@ -178,9 +161,12 @@ def vbar_eff(model: PotentialModel, params: CatenoidParams, u):
     Identically zero for a constant profile.  The m -> -m branch changes
     only the term linear in m.
     """
+    u = np.asarray(u, dtype=float)
     if isinstance(model.kind, ConstantVF):
-        return np.zeros_like(np.asarray(u, dtype=float))
-    vf, vfp, vfpp = _vf_derivatives(model, params, u)
+        return np.zeros_like(u)
+    # v_F and its analytic derivatives
+    lam, R2 = model.kind.lam, params.R**2
+    vf, vfp, vfpp = fermi_velocity(model, params, u), 2.0 * lam * u / R2, 2.0 * lam / R2
     m_eff = model.signed_m
     root = np.sqrt(params.R**2 + np.square(u))
     return -(vfp**2 - 2.0 * vf * (2.0 * m_eff * vfp / root + vfpp)) / (4.0 * vf**2)
@@ -224,6 +210,13 @@ def transformed_partner_potential(m: int, x):
     return m * m * sec**2 + m * np.tan(x) * sec
 
 
+def _rspace_potential(m: int, r: np.ndarray):
+    """(r^2-2)/(4(1-r^2)) + 3mr/(1-r^2) + (m^2+2)/(1-r^2) - 4: the r-space
+    potential of the constant-velocity problem without its energy term."""
+    q = 1.0 - r * r
+    return (r * r - 2.0) / (4.0 * q) + 3.0 * m * r / q + (m * m + 2.0) / q - 4.0
+
+
 def v1_v2_r_forms(m: int, epsilon: float, r):
     """The two r-space potentials; they differ only in how the energy term
     is treated: V1 keeps eps^2/(1-r^2)^2, V2 freezes it to eps^2.
@@ -232,5 +225,5 @@ def v1_v2_r_forms(m: int, epsilon: float, r):
     if np.any(np.abs(r) >= 1.0):
         raise ValueError("r must lie strictly inside (-1, 1)")
     q = 1.0 - r * r
-    common = (r * r - 2.0) / (4.0 * q) + 3 * m * r / q + (m * m + 2) / q - 4.0
+    common = _rspace_potential(m, r)
     return common - epsilon**2 / q**2, common - epsilon**2

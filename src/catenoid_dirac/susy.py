@@ -22,7 +22,7 @@ from .numeric import (
     first_derivative,
     second_derivative,
 )
-from .potentials import superpotential, superpotential_derivative
+from .potentials import partner_potentials_from_W, superpotential, superpotential_derivative
 
 __all__ = [
     "LadderDirection",
@@ -52,14 +52,7 @@ class FactorizedSystem:
     dW: Optional[Callable] = None
 
     def partner_potentials(self, u):
-        u = np.asarray(u, dtype=float)
-        w = self.W(u)
-        if self.dW is not None:
-            wp = self.dW(u)
-        else:
-            h = 1e-6 * (1.0 + np.abs(u))
-            wp = (-self.W(u + 2 * h) + 8 * self.W(u + h) - 8 * self.W(u - h) + self.W(u - 2 * h)) / (12 * h)
-        return w * w - wp, w * w + wp
+        return partner_potentials_from_W(self.W, u, dW=self.dW)
 
 
 def catenoid_system(params: CatenoidParams, m: int, grid: Grid) -> FactorizedSystem:

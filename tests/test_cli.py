@@ -74,6 +74,18 @@ class TestSpectrum:
         with pytest.raises(SystemExit):
             main(["spectrum", "--mode", "bogus", "--out", str(tmp_path / "s.json")])
 
+    def test_negative_velocity_rejected(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--vf", "-1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_level_rejected(self, tmp_path, capsys):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--n", "-1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWavefunction:
     def test_ground_state_profile(self, tmp_path):
@@ -161,6 +173,29 @@ class TestReportFigures:
         _, maxima3 = count_features(np.sqrt(data[:, 2]))
         assert maxima1 == 2
         assert maxima3 == 4
+
+
+# options that were accepted but never read by their subcommand
+UNREAD_OPTIONS = [
+    ["potentials", "--format", "csv"],
+    ["wavefunction", "--format", "csv"],
+    ["susy-check", "--format", "json"],
+    ["report-figures", "--allow-invalid", "--format", "csv"],
+    ["potentials", "--allow-invalid"],
+    ["spectrum", "--allow-invalid"],
+    ["susy-check", "--allow-invalid"],
+    ["report-figures", "--allow-invalid", "--m", "3"],
+    ["report-figures", "--allow-invalid", "--lambda", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_unread_option_rejected(tmp_path, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 class TestReproducibility:

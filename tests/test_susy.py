@@ -5,6 +5,7 @@ import pytest
 
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import Grid, WavefunctionSamples, discretize, eigen_tridiagonal
+from catenoid_dirac.potentials import partner_potentials_from_W
 from catenoid_dirac.susy import (
     FactorizedSystem,
     LadderDirection,
@@ -23,6 +24,23 @@ R1 = CatenoidParams(1.0)
 
 def harmonic_system(grid):
     return FactorizedSystem(W=lambda u: u, grid=grid, dW=lambda u: np.ones_like(u))
+
+
+class TestFactorizedSystem:
+    def test_derivative_fallback_matches_partner_potentials_from_W(self):
+        g = Grid(-3.0, 3.0, 301)
+        u = g.points
+
+        def W(x):
+            return np.tanh(x) + 0.2 * x
+
+        u1, u2 = FactorizedSystem(W=W, grid=g).partner_potentials(u)
+        v1, v2 = partner_potentials_from_W(W, u)
+        np.testing.assert_array_equal(u1, v1)
+        np.testing.assert_array_equal(u2, v2)
+        wp = 1.0 / np.cosh(u) ** 2 + 0.2
+        assert np.max(np.abs(u1 - (W(u) ** 2 - wp))) < 1e-8
+        assert np.max(np.abs(u2 - (W(u) ** 2 + wp))) < 1e-8
 
 
 class TestApplyLadder:
