@@ -198,11 +198,15 @@ def eigenfunction_constant_case(
     u = np.asarray(u, dtype=float)
 
     def raw(uu):
-        t = uu / np.sqrt(uu * uu + params.R**2)
-        pj = jacobi(JacobiParams(qn.n, 2.0 * jp.a, 2.0 * jp.b), t)
-        return (1.0 - t) ** (jp.a - exponent_shift) * (1.0 + t) ** (jp.b - exponent_shift) * pj
+        return _jacobi_profile(jp, qn.n, uu / np.sqrt(uu * uu + params.R**2), exponent_shift)
 
     return _box_normalized(raw, u, params) if normalize else raw(u)
+
+
+def _jacobi_profile(jp: JacobiBranchParams, n: int, t, shift: float):
+    """(1-t)^(a-shift) (1+t)^(b-shift) P_n^(2a,2b)(t) of the polynomial branch."""
+    pj = jacobi(JacobiParams(n, 2.0 * jp.a, 2.0 * jp.b), t)
+    return (1.0 - t) ** (jp.a - shift) * (1.0 + t) ** (jp.b - shift) * pj
 
 
 def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = False):
@@ -210,9 +214,7 @@ def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = F
     equation; this is the form whose differential-equation residual
     vanishes."""
     jp = _branch_or_regularized(qn.m, allow_invalid)
-    r = np.asarray(r, dtype=float)
-    pj = jacobi(JacobiParams(qn.n, 2.0 * jp.a, 2.0 * jp.b), r)
-    return (1.0 - r) ** jp.a * (1.0 + r) ** jp.b * pj
+    return _jacobi_profile(jp, qn.n, np.asarray(r, dtype=float), 0.0)
 
 
 def constant_case_rspace_potential(m: int, r):
@@ -385,8 +387,7 @@ def scarf_params_pdfv(params: CatenoidParams, m: int, lam: float) -> ScarfParams
     potential-matching identities (see scarf_params_physical for the
     self-consistent branch).
     """
-    if lam <= 0.0:
-        raise ValueError("velocity scale must be positive")
+    ScarfVF(lam)
     R = params.R
     den = 8.0 * (-R + m * (4.0 * R - 2.0))
     if abs(den) < 1e-9 * max(1.0, abs(R), abs(m)):
@@ -435,8 +436,7 @@ def scarf_params_physical(
     convention A -> (t-1)/2 of the -A*tan + B*sec superpotential, is the
     branch whose W^2 - W' reproduces the potential exactly.
     """
-    if lam <= 0.0:
-        raise ValueError("velocity scale must be positive")
+    ScarfVF(lam)
     if root not in ("upper", "lower"):
         raise ValueError(f"root must be 'upper' or 'lower', got {root!r}")
     R = params.R
@@ -528,6 +528,14 @@ def superpotential_pdfv(scarf: ScarfParams, x):
     return -scarf.A * np.tan(x) + scarf.B / np.cos(x)
 
 
+def _check_shared_level(level: EnergyLevel, above_zero_mode: float) -> None:
+    """A partner state needs its level n+1 valid and above the zero mode."""
+    if not level.valid:
+        raise ValueError(f"level n+1 is not valid: {level.reason}")
+    if not above_zero_mode > 0.0:
+        raise ValueError("the shared level coincides with the zero mode")
+
+
 def partner_eigenfunction_pdfv(
     params: CatenoidParams,
     scarf: ScarfParams,
@@ -544,12 +552,8 @@ def partner_eigenfunction_pdfv(
     """
     if not scarf.valid:
         raise ValueError(f"invalid Scarf parameters: {scarf.reason}")
-    level = energy_pdfv(params, scarf, QuantumNumbers(qn.n + 1, qn.m))
-    if not level.valid:
-        raise ValueError(f"level n+1 is not valid: {level.reason}")
-    shifted_energy = (scarf.A + qn.n + 1) ** 2 - scarf.A**2
-    if not shifted_energy > 0.0:
-        raise ValueError("the shared level coincides with the zero mode")
+    _check_shared_level(energy_pdfv(params, scarf, QuantumNumbers(qn.n + 1, qn.m)),
+                        (scarf.A + qn.n + 1) ** 2 - scarf.A**2)
 
     def raw(uu):
         return _pdfv_raw(params, scarf, qn.n, uu, a_shift=1.0)
@@ -564,10 +568,7 @@ def partner_eigenfunction_constant(
     branch eigenfunction, (d/du + m/sqrt(R^2+u^2)) chi_(n+1) / sqrt(E_(n+1)).
     """
     level = energy_constant_case(params, 1.0, QuantumNumbers(qn.n + 1, qn.m))
-    if not level.valid:
-        raise ValueError(f"level n+1 is not valid: {level.reason}")
-    if not level.value > 0.0:
-        raise ValueError("the shared level coincides with the zero mode")
+    _check_shared_level(level, level.value)
 
     def chi(uu):
         return eigenfunction_constant_case(params, QuantumNumbers(qn.n + 1, qn.m), uu, normalize=False)

@@ -58,6 +58,7 @@ from .susy import (
 )
 
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
+R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
 
 
 def _fmt(v: float) -> str:
@@ -98,8 +99,6 @@ def _write_manifest(out: Path, command: str, params: dict, truncation: dict,
 
 
 def _u_grid(args) -> np.ndarray:
-    if args.samples < 2:
-        raise ValueError("need at least 2 samples")
     return np.linspace(args.umin, args.umax, args.samples)
 
 
@@ -107,18 +106,20 @@ def _params_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
+def _v_eff_pair(args, params: CatenoidParams, u) -> list[np.ndarray]:
+    """V_eff1, V_eff2: the constant-velocity potentials of both spinor components."""
+    return [v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(s)), params, u)
+            for s in (+1, -1)]
+
+
 def cmd_potentials(args) -> int:
     params = CatenoidParams(args.R)
     u = _u_grid(args)
-    w = superpotential(params, args.m, u)
-    kind = ConstantVF(args.vf) if args.lam is None else ScarfVF(args.lam)
-    v1 = v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(+1)), params, u)
-    v2 = v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(-1)), params, u)
     header = ["u", "V_eff1", "V_eff2", "W"]
-    columns = [u, v1, v2, w]
+    columns = [u, *_v_eff_pair(args, params, u), superpotential(params, args.m, u)]
     if args.lam is not None:
         header.append("U_eff1")
-        columns.append(u_eff(PotentialModel(kind, args.m, SpinorBranch(+1)), params, u))
+        columns.append(u_eff(PotentialModel(ScarfVF(args.lam), args.m, SpinorBranch(+1)), params, u))
     out = Path(args.out)
     _write_csv(out, header, columns)
     echo = _params_echo(args, ["R", "m", "vf", "lam", "umin", "umax", "samples"])
@@ -127,30 +128,22 @@ def cmd_potentials(args) -> int:
     return 0
 
 
-def _numeric_levels_constant(m: int, count: int) -> np.ndarray:
-    """Levels eps^2 of the compact-coordinate form of the constant-velocity
+def _numeric_levels(params: CatenoidParams, m: int, count: int, pdfv: bool) -> np.ndarray:
+    """Lowest count levels eps^2: of the Scarf operator of the sec^2-velocity
+    problem, or of the compact-coordinate form of the constant-velocity
     problem, where the discrete part of the spectrum is genuine."""
-    delta = 1e-6
-    grid = Grid(-1.0 + delta, 1.0 - delta, 4001)
-    op = discretize_sturm_liouville(
-        lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(m, r), grid
-    )
-    vals = eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues
-    return vals[:count]
-
-
-def _numeric_levels_pdfv(params: CatenoidParams, m: int, count: int) -> np.ndarray:
-    """Levels eps^2 of the Scarf operator of the sec^2-velocity problem."""
-    grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
-    op = discretize(lambda x: scarf_form_pdfv(params, m, x), grid)
-    vals = eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues
-    return vals[:count]
+    if pdfv:
+        grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
+        op = discretize(lambda x: scarf_form_pdfv(params, m, x), grid)
+    else:
+        grid = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, 4001)
+        op = discretize_sturm_liouville(
+            lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(m, r), grid
+        )
+    return eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues[:count]
 
 
 def cmd_spectrum(args) -> int:
-    # reject a non-positive velocity and a negative level before writing
-    ConstantVF(args.vf)
-    QuantumNumbers(args.n, args.m)
     params = CatenoidParams(args.R)
     pdfv = args.lam is not None
     n_levels = args.n + 1
@@ -162,12 +155,10 @@ def cmd_spectrum(args) -> int:
         scale = args.vf / params.R
     numeric = None
     if args.mode in ("numeric", "both"):
-        eps_sq = (
-            _numeric_levels_pdfv(params, args.m, n_levels)
-            if pdfv
-            else _numeric_levels_constant(args.m, n_levels)
-        )
+        eps_sq = _numeric_levels(params, args.m, n_levels, pdfv)
         numeric = [scale * math.sqrt(e) if e >= 0 else math.nan for e in eps_sq]
+        validity_flags += [f"n={n}: numeric eps^2 = {e:g} is negative"
+                           for n, e in enumerate(eps_sq) if e < 0]
     records = []
     for n in range(n_levels):
         rec: dict = {"n": n, "m": args.m}
@@ -210,33 +201,26 @@ def cmd_wavefunction(args) -> int:
     params = CatenoidParams(args.R)
     qn = QuantumNumbers(args.n, args.m)
     u = _u_grid(args)
+    pdfv = args.lam is not None
+    # realness check: the Scarf parameters, or the constant-velocity level
+    branch = (scarf_params_physical(params, args.m, args.lam) if pdfv
+              else energy_constant_case(params, args.vf, qn))
     validity_flags: list[str] = []
-    if args.lam is not None:
-        scarf = scarf_params_physical(params, args.m, args.lam)
-        if not scarf.valid:
-            if not args.allow_invalid:
-                print(f"error: {scarf.reason}; rerun with --allow-invalid", file=sys.stderr)
-                return 1
-            validity_flags.append(scarf.reason)
-        vals = eigenfunction_pdfv(params, scarf, qn, u, normalize=False)
-        weight = _pdfv_weight(params, args.lam, u)
-        weight_label = "1/v_F(u)^2"
+    if not branch.valid:
+        if not args.allow_invalid:
+            raise ValueError(f"{branch.reason}; rerun with --allow-invalid")
+        validity_flags.append(branch.reason)
+    if pdfv:
+        vals = eigenfunction_pdfv(params, branch, qn, u, normalize=False)
+        weight, weight_label = _pdfv_weight(params, args.lam, u), "1/v_F(u)^2"
     else:
-        level = energy_constant_case(params, args.vf, qn)
-        if not level.valid:
-            if not args.allow_invalid:
-                print(f"error: {level.reason}; rerun with --allow-invalid", file=sys.stderr)
-                return 1
-            validity_flags.append(level.reason)
         vals = eigenfunction_constant_case(
             params, qn, u, normalize=False, allow_invalid=args.allow_invalid
         )
-        weight = 1.0
-        weight_label = "du"
+        weight, weight_label = 1.0, "du"
     norm = _trapezoid_norm(vals, u, weight)
     if norm == 0.0:
-        print("error: wavefunction vanishes on the requested grid", file=sys.stderr)
-        return 1
+        raise ValueError("wavefunction vanishes on the requested grid")
     vals = vals / norm
     density = vals**2
     out = Path(args.out)
@@ -273,6 +257,10 @@ def _partner_shift(W, dW, grid: Grid, count: int):
     return e1[0], rows, worst
 
 
+def _check(name: str, value: float, tolerance: float) -> dict:
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": value < tolerance}
+
+
 def cmd_susy_check(args) -> int:
     params = CatenoidParams(args.R)
     checks = []
@@ -283,10 +271,8 @@ def cmd_susy_check(args) -> int:
         ground, shift, worst = _partner_shift(
             lambda x: x, lambda x: np.ones_like(x), Grid(-10.0, 10.0, 4001), 5
         )
-        checks.append({"name": "ground_state_at_zero", "value": abs(ground),
-                       "tolerance": 1e-3, "pass": abs(ground) < 1e-3})
-        checks.append({"name": "partner_shift", "value": worst, "tolerance": 1e-3,
-                       "pass": worst < 1e-3})
+        checks += [_check("ground_state_at_zero", abs(ground), 1e-3),
+                   _check("partner_shift", worst, 1e-3)]
     else:
         u = np.linspace(-10.0, 10.0, 1001)
         w_val = superpotential(params, args.m, u)
@@ -294,14 +280,11 @@ def cmd_susy_check(args) -> int:
         if args.inject_error:
             w_val = w_val + 0.5
             validity_flags.append("injected superpotential corruption (test hook)")
-        v1 = v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(+1)), params, u)
-        v2 = v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(-1)), params, u)
-        err1 = float(np.max(np.abs(w_val**2 - dw_val - v1)))
-        err2 = float(np.max(np.abs(w_val**2 + dw_val - v2)))
-        checks.append({"name": "partner_identity_minus", "value": err1,
-                       "tolerance": 1e-12, "pass": err1 < 1e-12})
-        checks.append({"name": "partner_identity_plus", "value": err2,
-                       "tolerance": 1e-12, "pass": err2 < 1e-12})
+        v1, v2 = _v_eff_pair(args, params, u)
+        checks += [
+            _check("partner_identity_minus", float(np.max(np.abs(w_val**2 - dw_val - v1))), 1e-12),
+            _check("partner_identity_plus", float(np.max(np.abs(w_val**2 + dw_val - v2))), 1e-12),
+        ]
 
         grid = Grid(-5.0, 5.0, 2001)
         sys_u = catenoid_system(params, args.m, grid)
@@ -311,18 +294,14 @@ def cmd_susy_check(args) -> int:
             dchi0 = dchi0 + 0.5
         ann = apply_ladder(sys_u, LadderDirection.LOWERING,
                            WavefunctionSamples(grid=grid, values=chi0), derivative=dchi0)
-        ann_res = float(np.max(np.abs(ann.values)))
-        checks.append({"name": "zero_mode_annihilation", "value": ann_res,
-                       "tolerance": 1e-8, "pass": ann_res < 1e-8})
+        checks.append(_check("zero_mode_annihilation", float(np.max(np.abs(ann.values))), 1e-8))
 
         probe = WavefunctionSamples(grid=grid, values=np.exp(-grid.points**2))
-        inter_res = float(check_intertwining(sys_u, probe))
-        checks.append({"name": "intertwining", "value": inter_res,
-                       "tolerance": 1e-3, "pass": inter_res < 1e-3})
+        checks.append(_check("intertwining", float(check_intertwining(sys_u, probe)), 1e-3))
 
         # isospectral shift table on the exactly solvable Scarf pair of the
         # position-dependent-velocity problem
-        scarf = scarf_params_physical(params, args.m, args.lam if args.lam else 1.0)
+        scarf = scarf_params_physical(params, args.m, args.lam or 1.0)
         if scarf.valid:
             A, B = scarf.A, scarf.B
             _, shift, worst = _partner_shift(
@@ -331,8 +310,7 @@ def cmd_susy_check(args) -> int:
                 Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001),
                 4,
             )
-            checks.append({"name": "partner_shift", "value": worst, "tolerance": 1e-3,
-                           "pass": worst < 1e-3})
+            checks.append(_check("partner_shift", worst, 1e-3))
         else:
             shift = []
             validity_flags.append(f"shift table skipped: {scarf.reason}")
@@ -356,13 +334,11 @@ def cmd_report_figures(args) -> int:
     params = CatenoidParams(args.R)
     caveat = energy_constant_case(params, args.vf, QuantumNumbers(1, FIGURE_M)).reason
     if not args.allow_invalid:
-        print(
-            f"error: the requested parameters (m={FIGURE_M}) fail the realness "
+        raise ValueError(
+            f"the requested parameters (m={FIGURE_M}) fail the realness "
             f"check ({caveat}); rerun with --allow-invalid to apply the "
-            "documented absolute-value regularization",
-            file=sys.stderr,
+            "documented absolute-value regularization"
         )
-        return 1
     u = _u_grid(args)
     out = Path(args.out)
     companion = out.with_name(out.stem + "_companion" + (out.suffix or ".csv"))
@@ -440,9 +416,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_inputs(args) -> None:
+    """Validate every option the subcommand has, through the validated
+    types, before any command runs: R, vf and lambda finite and > 0,
+    n >= 0, samples >= 2 and finite umin < umax."""
+    CatenoidParams(args.R)
+    ConstantVF(args.vf)
+    if getattr(args, "lam", None) is not None:
+        ScarfVF(args.lam)
+    if hasattr(args, "n"):
+        QuantumNumbers(args.n, args.m)
+    if hasattr(args, "samples"):
+        if args.samples < 2:
+            raise ValueError("need at least 2 samples")
+        if not -math.inf < args.umin < args.umax < math.inf:
+            raise ValueError(f"need finite umin < umax, got umin={args.umin}, umax={args.umax}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_inputs(args)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

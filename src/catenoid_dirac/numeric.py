@@ -84,15 +84,7 @@ class SpectrumResult:
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
     """Second-order discretization of -d^2/dz^2 + V with Dirichlet ends."""
-    x = grid.points
-    v = np.asarray(V(x), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential is not finite on the grid")
-    h2 = grid.h**2
-    return TridiagonalOperator(
-        diagonal=2.0 / h2 + v,
-        offdiagonal=np.full(grid.count - 1, -1.0 / h2),
-    )
+    return discretize_sturm_liouville(np.ones_like, V, grid)
 
 
 def discretize_sturm_liouville(

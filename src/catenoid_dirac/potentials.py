@@ -57,8 +57,8 @@ class ConstantVF:
     v_F: float
 
     def __post_init__(self):
-        if not (self.v_F > 0.0):
-            raise ValueError(f"Fermi velocity must be positive, got {self.v_F}")
+        if not 0.0 < self.v_F < math.inf:
+            raise ValueError(f"Fermi velocity must be positive and finite, got {self.v_F}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,8 @@ class ScarfVF:
     lam: float
 
     def __post_init__(self):
-        if not (self.lam > 0.0):
-            raise ValueError(f"velocity scale must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"velocity scale must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,12 @@ def v_eff(model: PotentialModel, params: CatenoidParams, u):
     """
     if not isinstance(model.kind, ConstantVF):
         raise ValueError("v_eff applies to the constant Fermi velocity model")
+    return _constant_velocity_potential(model.signed_m, params, u)
+
+
+def _constant_velocity_potential(m_eff: int, params: CatenoidParams, u):
     g = params.R**2 + np.square(u)
-    return model.m**2 / g + model.branch.sign * model.m * u / g**1.5
+    return m_eff**2 / g + m_eff * u / g**1.5
 
 
 def _central_derivative(f: Callable, u: np.ndarray):
@@ -174,10 +178,7 @@ def vbar_eff(model: PotentialModel, params: CatenoidParams, u):
 
 def u_eff(model: PotentialModel, params: CatenoidParams, u):
     """Full effective potential: constant-velocity part plus velocity-gradient part."""
-    g = params.R**2 + np.square(u)
-    m_eff = model.signed_m
-    base = m_eff**2 / g + m_eff * u / g**1.5
-    return base + vbar_eff(model, params, u)
+    return _constant_velocity_potential(model.signed_m, params, u) + vbar_eff(model, params, u)
 
 
 def scarf_form_constant(params: CatenoidParams, m: int, epsilon: float, x):

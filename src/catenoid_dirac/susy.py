@@ -22,7 +22,7 @@ from .numeric import (
     first_derivative,
     second_derivative,
 )
-from .potentials import partner_potentials_from_W, superpotential, superpotential_derivative
+from .potentials import partner_potentials_from_W, sigma_lambda, superpotential, superpotential_derivative
 
 __all__ = [
     "LadderDirection",
@@ -175,19 +175,16 @@ def dirac_coupled_residual(
 ) -> tuple[float, float]:
     """Sup-norm residuals of the coupled first-order system (hbar = 1).
 
-    First equation: (d/du - u/(2(R^2+u^2)) + m/sqrt(R^2+u^2)) psi1
-    + i (E/v_F) psi2; the second swaps the sign of the m term and the
-    component roles.
+    (d/du + Sigma) psi1 + i (E/v_F) psi2 and (d/du + Lambda) psi2
+    + i (E/v_F) psi1, with the decoupling functions of sigma_lambda.
     """
     if psi1.grid != psi2.grid:
         raise ValueError("components live on different grids")
     g = psi1.grid
-    u = g.points
-    drift = u / (2.0 * (params.R**2 + u * u))
-    w = superpotential(params, m, u)
+    sigma, lambda_ = sigma_lambda(params, m, g.points)
     k = 1j * E / v_F
     f1 = np.asarray(psi1.values, dtype=complex)
     f2 = np.asarray(psi2.values, dtype=complex)
-    r1 = first_derivative(f1, g.h) - drift * f1 + w * f1 + k * f2
-    r2 = first_derivative(f2, g.h) - drift * f2 - w * f2 + k * f1
+    r1 = first_derivative(f1, g.h) + sigma * f1 + k * f2
+    r2 = first_derivative(f2, g.h) + lambda_ * f2 + k * f1
     return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))

@@ -86,6 +86,17 @@ class TestSpectrum:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_numeric_levels_flagged(self, tmp_path):
+        # the compact operator has eps^2 < 0 at n = 0 and 1 for m = 1
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--m", "1", "--mode", "both", "--n", "2",
+                     "--out", str(out)]) == 0
+        levels = json.loads(out.read_text())["levels"]
+        assert [math.isnan(r["E_numeric"]) for r in levels] == [True, True, False]
+        flags = [f for f in read_manifest(out)["validity_flags"] if "numeric eps^2" in f]
+        assert [f.split(":")[0] for f in flags] == ["n=0", "n=1"]
+        assert all(f.endswith("is negative") for f in flags)
+
 
 class TestWavefunction:
     def test_ground_state_profile(self, tmp_path):
@@ -196,6 +207,29 @@ def test_unread_option_rejected(tmp_path, argv):
         main(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+# values outside the input contract (R, vf, lambda finite and > 0; n >= 0;
+# samples >= 2; finite umin < umax), each refused before any file is written
+REJECTED_INPUTS = [
+    ["wavefunction", "--vf", "-1", "--m", "3", "--n", "0"],
+    ["report-figures", "--allow-invalid", "--vf", "-1"],
+    ["potentials", "--umin", "5", "--umax", "-5"],
+    ["report-figures", "--allow-invalid", "--umin", "3", "--umax", "-3"],
+    ["potentials", "--umin", "1", "--umax", "1"],
+    ["susy-check", "--lambda", "0"],
+    ["wavefunction", "--m", "3", "--n", "0", "--umin", "5", "--umax", "-5"],
+    ["potentials", "--umax", "inf"],
+    ["potentials", "--lambda", "inf"],
+    ["spectrum", "--vf", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_INPUTS, ids=" ".join)
+def test_rejected_input(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestReproducibility:
