@@ -9,7 +9,6 @@ position-dependent-velocity (Scarf) branch are all here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -237,15 +236,10 @@ def zero_energy_solution(m: int, x, amplitude: float = 1.0):
     amplitude * [1+exp(2ix)]^2 * exp(-2i*[x - m*arctan(exp(ix))]),
     complex-valued, finite on compact subsets of (-pi/2, pi/2).
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xs) >= math.pi / 2):
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) >= math.pi / 2):
         raise ValueError("x must lie strictly inside (-pi/2, pi/2)")
-    out = np.empty(xs.shape, dtype=complex)
-    for i, xi in enumerate(xs):
-        z = cmath.exp(2j * xi)
-        out[i] = amplitude * (1.0 + z) ** 2 * cmath.exp(-2j * (xi - m * cmath.atan(cmath.exp(1j * xi))))
-    return out[0] if scalar else out
+    return amplitude * (1.0 + np.exp(2j * x)) ** 2 * np.exp(-2j * (x - m * np.arctan(np.exp(1j * x))))
 
 
 def near_origin_quantization(n: int, m: int) -> EnergyLevel:

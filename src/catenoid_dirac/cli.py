@@ -61,15 +61,10 @@ X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
 
 
 def _json_default(obj):
@@ -179,14 +174,17 @@ def cmd_spectrum(args) -> int:
         if args.mode == "both" and rec.get("valid") and numeric is not None:
             denom = max(abs(rec["E_analytic"]), 1e-300)
             rec["relative_discrepancy"] = abs(rec["E_analytic"] - numeric[n]) / denom
+            finite = [k for k, e in enumerate(numeric) if not math.isnan(e)]
+            closest = min(finite, key=lambda k: abs(numeric[k] - rec["E_analytic"]), default=n)
+            if closest != n:
+                validity_flags.append(f"n={n}: closest numeric level is n={closest}")
         records.append(rec)
     out = Path(args.out)
     payload = {"levels": records}
     if args.format == "csv":
         keys = sorted({k for r in records for k in r})
-        cols = []
-        for k in keys:
-            cols.append(np.array([float(r.get(k, math.nan)) if not isinstance(r.get(k), str) else math.nan for r in records]))
+        cols = [np.array([math.nan if isinstance(r.get(k), str) else float(r.get(k, math.nan))
+                          for r in records]) for k in keys]
         _write_csv(out, keys, cols)
     else:
         _write_json(out, payload)

@@ -200,8 +200,7 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
     Plateaus (including a constant function) count as a single maximum.
     """
     f = np.asarray(f)
-    n = len(f)
-    if n < 3:
+    if len(f) < 3:
         raise ValueError("need at least 3 samples")
     peak = np.max(np.abs(f))
     if peak == 0.0:
@@ -211,17 +210,10 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
     changes = int(np.sum(nz[:-1] * nz[1:] < 0))
     d = np.abs(f) ** 2
     floor = 1e-9 * np.max(d)
-    maxima = 0
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and d[j + 1] == d[i]:
-            j += 1
-        left_ok = i == 0 or d[i - 1] < d[i]
-        right_ok = j == n - 1 or d[j + 1] < d[i]
-        if left_ok and right_ok and d[i] > floor:
-            maxima += 1
-        i = j + 1
+    # collapse each plateau to one sample, then count strict local maxima
+    c = d[np.r_[True, d[1:] != d[:-1]]]
+    e = np.r_[-np.inf, c, -np.inf]
+    maxima = int(np.sum((c > e[:-2]) & (c > e[2:]) & (c > floor)))
     return changes, maxima
 
 

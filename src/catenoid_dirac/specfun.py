@@ -66,16 +66,20 @@ def jacobi(p: JacobiParams, x):
 
 
 def kummer_m(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric M(a, b, z) by direct series summation.
+    """Confluent hypergeometric M(a, b, z) by direct series summation,
+    after Kummer's transformation for z < 0.
 
     The series terminates for non-positive integer a; otherwise summation
     stops when terms fall below 1e-17 of the partial sum.
     """
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
+    terminating = a <= 0.0 and a == int(a)
+    if z < 0.0 and not terminating:
+        # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
+        return math.exp(z) * kummer_m(b - a, b, -z)
     total = 1.0
     term = 1.0
-    terminating = a <= 0.0 and a == int(a)
     for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term

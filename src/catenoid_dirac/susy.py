@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .geometry import CatenoidParams
 from .numeric import (
@@ -95,17 +94,9 @@ def ground_state_from_W(sys: FactorizedSystem, grid: Grid) -> WavefunctionSample
     w = np.asarray(sys.W(u), dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("superpotential is not finite on the grid")
-    integral = cumulative_trapezoid(w, u, initial=0.0)
-    # anchor the integral at u = 0 (linear interpolation between grid points)
-    if grid.min <= 0.0 <= grid.max:
-        idx = int(np.searchsorted(u, 0.0))
-        if idx == 0:
-            anchor = integral[0]
-        else:
-            t = (0.0 - u[idx - 1]) / (u[idx] - u[idx - 1])
-            anchor = (1 - t) * integral[idx - 1] + t * integral[idx]
-    else:
-        anchor = integral[0]
+    integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(u))))
+    # anchor at u = 0 (linear interpolation), or at the left end when 0 is off the grid
+    anchor = np.interp(0.0, u, integral, right=integral[0])
     return WavefunctionSamples(grid=grid, values=np.exp(-(integral - anchor)))
 
 

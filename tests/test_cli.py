@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catenoid_dirac
 from catenoid_dirac.cli import main
 
 
@@ -96,6 +100,32 @@ class TestSpectrum:
         flags = [f for f in read_manifest(out)["validity_flags"] if "numeric eps^2" in f]
         assert [f.split(":")[0] for f in flags] == ["n=0", "n=1"]
         assert all(f.endswith("is negative") for f in flags)
+
+    def test_csv_text(self, tmp_path):
+        # every analytic level is invalid at m = 1: the reason string and the
+        # missing E_analytic become nan cells, the valid flag 0
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--m", "1", "--n", "2", "--mode", "both",
+                     "--format", "csv", "--out", str(out)]) == 0
+        lines = out.read_bytes().decode().split("\n")
+        assert lines[:3] == ["E_numeric,m,n,reason,valid", "nan,1,0,nan,0", "nan,1,1,nan,0"]
+        assert lines[4:] == [""]
+        e_numeric, rest = lines[3].split(",", 1)
+        assert rest == "1,2,nan,0"
+        assert e_numeric == f"{float(e_numeric):.17g}"
+        assert float(e_numeric) == pytest.approx(1.5632007904522918, rel=1e-9)
+
+    @pytest.mark.parametrize("argv, expected", [
+        # analytic 5.345 at n = 2 sits closest to numeric 5.481 at n = 3
+        (["--R", "0.5", "--m", "1", "--lambda", "1", "--n", "3"],
+         ["n=1: closest numeric level is n=2", "n=2: closest numeric level is n=3"]),
+        (["--R", "1", "--m", "3", "--n", "4"], []),
+    ], ids=["shifted", "aligned"])
+    def test_index_mismatch_flagged(self, tmp_path, argv, expected):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", *argv, "--mode", "both", "--out", str(out)]) == 0
+        flags = [f for f in read_manifest(out)["validity_flags"] if "closest" in f]
+        assert flags == expected
 
 
 class TestWavefunction:
@@ -248,3 +278,13 @@ class TestReproducibility:
         for row, line in zip(data, text):
             rebuilt = ",".join(f"{v:.17g}" for v in row)
             assert rebuilt == line
+
+
+def test_import_leaves_out_scipy_integrate():
+    src = str(Path(catenoid_dirac.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, catenoid_dirac.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "False"

@@ -149,8 +149,15 @@ class TestCountFeatures:
         changes, maxima = count_features(np.sin(3 * math.pi * x))
         assert (changes, maxima) == (2, 3)
 
-    def test_constant(self):
-        assert count_features(np.full(100, 2.5)) == (0, 1)
+    @pytest.mark.parametrize("f, expected", [
+        (np.full(100, 2.5), (0, 1)),
+        ([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0], (0, 1)),  # plateau peak
+        ([3.0, 3.0, 1.0, 2.0, 2.0], (0, 2)),  # plateaus at both edges
+        ([1.0, 2.0, 2.0, 3.0, 1.0], (0, 1)),  # plateau on a slope
+        ([1.0, 3.0, np.nan, -3.0, 1.0], (0, 0)),  # a NaN sample makes the peak NaN
+    ], ids=["constant", "plateau_peak", "edge_plateaus", "shoulder", "nan_sample"])
+    def test_constant(self, f, expected):
+        assert count_features(np.asarray(f)) == expected
 
     def test_noise_floor(self):
         x = np.linspace(0.0, 1.0, 1001)

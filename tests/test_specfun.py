@@ -95,6 +95,15 @@ class TestKummer:
         res = b * kummer_m(a, b, z) - b * kummer_m(a - 1, b, z) - z * kummer_m(a, b + 1, z)
         assert abs(res) < 1e-12
 
+    @pytest.mark.parametrize("a, b, z, ref", [
+        # b - a = -1: M = e^z (1 + z/b) by Kummer's transformation
+        (2.5, 1.5, -50.0, math.exp(-50.0) * (1.0 - 50.0 / 1.5)),
+        # M(1/2, 3/2, -x^2) = sqrt(pi) erf(x) / (2x), x^2 = 30
+        (0.5, 1.5, -30.0, math.sqrt(math.pi) * math.erf(math.sqrt(30.0)) / (2.0 * math.sqrt(30.0))),
+    ], ids=["terminating_transform", "error_function"])
+    def test_negative_z_closed_forms(self, a, b, z, ref):
+        assert abs(kummer_m(a, b, z) - ref) < 1e-12 * abs(ref)
+
     def test_bad_b(self):
         with pytest.raises(ValueError):
             kummer_m(1.0, 0.0, 1.0)

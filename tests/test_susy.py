@@ -93,6 +93,14 @@ class TestGroundStateFromW:
             ratio = out.values / ref
             assert np.max(np.abs(ratio - ratio[g.count // 2])) < 1e-5
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 6.0), (-6.0, -1.0)])
+    def test_grid_without_zero_anchors_left_end(self, lo, hi):
+        g = Grid(lo, hi, 1001)
+        out = ground_state_from_W(harmonic_system(g), g)
+        ref = np.exp(-(g.points**2 - lo**2) / 2)
+        assert out.values[0] == 1.0
+        assert np.max(np.abs(out.values / ref - 1.0)) < 1e-4
+
     def test_zero_superpotential(self):
         g = Grid(-5.0, 5.0, 501)
         sys = FactorizedSystem(W=lambda u: np.zeros_like(u), grid=g)
