@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 __all__ = [
     "Grid",
@@ -122,8 +121,8 @@ def eigen_tridiagonal(
     product (sum |f_i|^2 * h = 1 when a grid is given).
     """
     n = len(op.diagonal)
-    if k > n:
-        raise ValueError("requested more eigenpairs than matrix dimension")
+    if not 1 <= k <= n:
+        raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
     diag, off = op.diagonal, op.offdiagonal
     if weight is not None:
         if np.any(weight <= 0.0):
@@ -131,6 +130,10 @@ def eigen_tridiagonal(
         s = 1.0 / np.sqrt(weight)
         diag = diag * s * s
         off = off * s[:-1] * s[1:]
+    # imported here, so that importing the package and the commands that never
+    # eigensolve do not load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
     if weight is not None:
         vecs = vecs * s[:, None]
@@ -198,10 +201,13 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
     Samples with |f| below 1e-9 of the peak are treated as zero so that
     round-off noise in eigenvector tails does not register as features.
     Plateaus (including a constant function) count as a single maximum.
+    Non-finite samples raise ValueError.
     """
     f = np.asarray(f)
     if len(f) < 3:
         raise ValueError("need at least 3 samples")
+    if not np.all(np.isfinite(f)):
+        raise ValueError("samples are not finite")
     peak = np.max(np.abs(f))
     if peak == 0.0:
         return 0, 0
@@ -218,8 +224,15 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
 
 
 def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bisection; requires a sign change on [lo, hi]."""
-    glo, ghi = g(lo), g(hi)
+    """Plain bisection; requires a sign change on [lo, hi] and finite g."""
+
+    def finite_g(x: float) -> float:
+        gx = g(x)
+        if not math.isfinite(gx):
+            raise ValueError(f"g({x!r}) = {gx!r} is not finite")
+        return gx
+
+    glo, ghi = finite_g(lo), finite_g(hi)
     if glo == 0.0:
         return lo
     if ghi == 0.0:
@@ -228,7 +241,7 @@ def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> fl
         raise ValueError("no sign change on the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
+        gm = finite_g(mid)
         if gm == 0.0:
             return mid
         if glo * gm < 0.0:

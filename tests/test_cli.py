@@ -288,3 +288,35 @@ def test_import_leaves_out_scipy_integrate():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# prints whether any scipy module is loaded, after the code before it ran
+SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+
+
+def _python(code, cwd=None):
+    """Last line of stdout of ``python -c code`` with the package importable."""
+    src = str(Path(catenoid_dirac.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                            text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return result.stdout.splitlines()[-1]
+
+
+def test_import_leaves_out_scipy():
+    assert _python(f"import sys, catenoid_dirac.cli; {SCIPY_LOADED}") == "False"
+
+
+# only the commands that eigensolve load scipy.linalg
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["potentials", "--R", "1", "--m", "3"], False),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], False),
+    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], False),
+    (["report-figures", "--allow-invalid"], False),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], False),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], True),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, loads_scipy):
+    code = (f"import sys; from catenoid_dirac.cli import main; "
+            f"assert main({argv + ['--out', 'out']!r}) == 0; {SCIPY_LOADED}")
+    assert _python(code, cwd=tmp_path) == str(loads_scipy)

@@ -70,6 +70,12 @@ class TestEigenTridiagonal:
         vals = eigen_tridiagonal(op, 2).eigenvalues
         assert np.allclose(vals, [a - b, a + b])
 
+    @pytest.mark.parametrize("k", [0, -1, 3])
+    def test_rejects_k_out_of_range(self, k):
+        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
+            eigen_tridiagonal(op, k)
+
     def test_oscillation_theorem(self):
         g = Grid(-10.0, 10.0, 2001)
         res = eigen_tridiagonal(discretize(lambda x: x * x, g), 5, grid=g)
@@ -154,10 +160,15 @@ class TestCountFeatures:
         ([0.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0], (0, 1)),  # plateau peak
         ([3.0, 3.0, 1.0, 2.0, 2.0], (0, 2)),  # plateaus at both edges
         ([1.0, 2.0, 2.0, 3.0, 1.0], (0, 1)),  # plateau on a slope
-        ([1.0, 3.0, np.nan, -3.0, 1.0], (0, 0)),  # a NaN sample makes the peak NaN
-    ], ids=["constant", "plateau_peak", "edge_plateaus", "shoulder", "nan_sample"])
+        ([1.0, 3.0, np.nan, -3.0, 1.0], ValueError),  # a NaN sample is refused
+        ([1.0, 3.0, -np.inf, -3.0, 1.0], ValueError),
+    ], ids=["constant", "plateau_peak", "edge_plateaus", "shoulder", "nan_sample", "inf_sample"])
     def test_constant(self, f, expected):
-        assert count_features(np.asarray(f)) == expected
+        if expected is ValueError:
+            with pytest.raises(ValueError, match="not finite"):
+                count_features(np.asarray(f))
+        else:
+            assert count_features(np.asarray(f)) == expected
 
     def test_noise_floor(self):
         x = np.linspace(0.0, 1.0, 1001)
@@ -180,3 +191,12 @@ class TestSolveBracketed:
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
             solve_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("g", [
+        lambda x: float("nan"),
+        lambda x: float("nan") if x == 0.5 else x - 0.25,  # NaN at the first midpoint
+        lambda x: -math.inf if x == 0.0 else x - 0.25,  # infinite end point
+    ], ids=["nan_everywhere", "nan_midpoint", "inf_end"])
+    def test_nonfinite_rejected(self, g):
+        with pytest.raises(ValueError, match="not finite"):
+            solve_bracketed(g, 0.0, 1.0)
