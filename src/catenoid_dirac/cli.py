@@ -189,9 +189,11 @@ def cmd_spectrum(args) -> int:
     else:
         _write_json(out, payload)
     echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "mode"])
-    _write_manifest(out, "spectrum", echo,
-                    {"numeric_domain": "compact coordinate, 4001 points" if args.mode != "analytic" else None},
-                    validity_flags)
+    domain = None
+    if args.mode != "analytic":
+        domain = (f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], 4001 points" if pdfv
+                  else "compact coordinate, 4001 points")
+    _write_manifest(out, "spectrum", echo, {"numeric_domain": domain}, validity_flags)
     return 0
 
 

@@ -9,7 +9,8 @@ to the closed-form results it is used to check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,6 +41,10 @@ class Grid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.min) and math.isfinite(self.max)):
+            raise ValueError(f"grid ends must be finite, got [{self.min}, {self.max}]")
+        if not isinstance(self.count, (int, np.integer)):
+            raise ValueError(f"grid point count must be an integer, got {self.count!r}")
         if self.count < 16:
             raise ValueError(f"grid needs at least 16 points, got {self.count}")
         if not self.max > self.min:
@@ -76,9 +81,34 @@ class TridiagonalOperator:
 
 @dataclass
 class SpectrumResult:
+    """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
+
+    ``eigenvectors`` (shape (count, k)) is solved for the first time it is
+    read, from the stored operator, which is already folded by the weight;
+    the columns are then unfolded by w^(-1/2) and normalized so that
+    sum(w * f**2) * h = 1 (h = 1 without a grid).  Later reads return the
+    same array.
+    """
+
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]  # shape (count, k), columns normalized
     grid: Optional[Grid]
+    folded: TridiagonalOperator = field(repr=False)
+    weight: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        from scipy.linalg import eigh_tridiagonal
+
+        k = len(self.eigenvalues)
+        _, vecs = eigh_tridiagonal(
+            self.folded.diagonal, self.folded.offdiagonal, select="i", select_range=(0, k - 1)
+        )
+        w = 1.0
+        if self.weight is not None:
+            w = self.weight[:, None]
+            vecs = vecs * (1.0 / np.sqrt(self.weight))[:, None]
+        h = self.grid.h if self.grid is not None else 1.0
+        return vecs / np.sqrt(np.sum(w * vecs**2 * h, axis=0))
 
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -113,34 +143,32 @@ def eigen_tridiagonal(
     grid: Optional[Grid] = None,
     weight: Optional[np.ndarray] = None,
 ) -> SpectrumResult:
-    """Lowest k eigenpairs by Sturm-sequence bisection plus inverse iteration.
+    """Lowest k eigenvalues by Sturm-sequence bisection.
 
-    With a diagonal ``weight`` w the generalized problem T f = E w f is
-    solved through the symmetric fold w^(-1/2) T w^(-1/2).  Eigenvectors
-    are returned in the original variable and normalized in the grid inner
-    product (sum |f_i|^2 * h = 1 when a grid is given).
+    With a diagonal ``weight`` w (finite, positive, one entry per diagonal
+    element) the generalized problem T f = E w f is solved through the
+    symmetric fold w^(-1/2) T w^(-1/2).  Eigenvectors are solved for only
+    when the result's ``eigenvectors`` is first read (see SpectrumResult).
     """
     n = len(op.diagonal)
     if not 1 <= k <= n:
         raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
-    diag, off = op.diagonal, op.offdiagonal
     if weight is not None:
-        if np.any(weight <= 0.0):
-            raise ValueError("weight must be strictly positive")
+        weight = np.asarray(weight, dtype=float)
+        if weight.shape != (n,):
+            raise ValueError(f"weight must have {n} entries, got shape {weight.shape}")
+        if not np.all(np.isfinite(weight) & (weight > 0.0)):
+            raise ValueError("weight must be finite and strictly positive")
         s = 1.0 / np.sqrt(weight)
-        diag = diag * s * s
-        off = off * s[:-1] * s[1:]
+        op = TridiagonalOperator(op.diagonal * s * s, op.offdiagonal * s[:-1] * s[1:])
     # imported here, so that importing the package and the commands that never
     # eigensolve do not load scipy
     from scipy.linalg import eigh_tridiagonal
 
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))
-    if weight is not None:
-        vecs = vecs * s[:, None]
-    h = grid.h if grid is not None else 1.0
-    w = weight[:, None] if weight is not None else 1.0
-    vecs = vecs / np.sqrt(np.sum(w * vecs**2 * h, axis=0))
-    return SpectrumResult(eigenvalues=vals, eigenvectors=vecs, grid=grid)
+    vals = eigh_tridiagonal(
+        op.diagonal, op.offdiagonal, eigvals_only=True, select="i", select_range=(0, k - 1)
+    )
+    return SpectrumResult(eigenvalues=vals, grid=grid, folded=op, weight=weight)
 
 
 def second_derivative(f: np.ndarray, h: float) -> np.ndarray:

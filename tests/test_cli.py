@@ -65,6 +65,15 @@ class TestSpectrum:
         levels = json.loads(out.read_text())["levels"]
         assert max(r["relative_discrepancy"] for r in levels) < 1e-3
 
+    @pytest.mark.parametrize("extra, domain", [
+        (["--lambda", "1", "--m", "2"], "Scarf x-grid [-pi/2 + 0.0001, pi/2 - 0.0001], 4001 points"),
+        (["--m", "3"], "compact coordinate, 4001 points"),
+    ], ids=["sec2_velocity", "constant_velocity"])
+    def test_manifest_names_numeric_grid(self, tmp_path, extra, domain):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--n", "1", "--mode", "both", *extra, "--out", str(out)]) == 0
+        assert read_manifest(out)["truncation"]["numeric_domain"] == domain
+
     def test_invalid_parameters_flagged(self, tmp_path):
         out = tmp_path / "spec.json"
         main(["spectrum", "--m", "-2", "--n", "1", "--mode", "analytic",

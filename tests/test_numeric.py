@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from catenoid_dirac.analytic import constant_case_rspace_potential
+from catenoid_dirac.cli import R_DELTA, X_DELTA
+from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import (
     Grid,
     TridiagonalOperator,
@@ -16,6 +19,7 @@ from catenoid_dirac.numeric import (
     second_derivative,
     solve_bracketed,
 )
+from catenoid_dirac.potentials import partner_potentials_from_W, scarf_form_pdfv
 
 rng = np.random.default_rng(7)
 
@@ -32,6 +36,20 @@ class TestGrid:
     def test_spacing(self):
         g = Grid(0.0, 1.0, 101)
         assert abs(g.h - 0.01) < 1e-15
+
+    @pytest.mark.parametrize("lo, hi, count", [
+        (-math.inf, 1.0, 50),
+        (0.0, math.inf, 50),
+        (math.nan, 1.0, 50),
+        (0.0, 1.0, 50.0),
+        (0.0, 1.0, 50.5),
+    ], ids=["inf_min", "inf_max", "nan_min", "float_count", "fractional_count"])
+    def test_rejects_nonfinite_ends_and_noninteger_count(self, lo, hi, count):
+        with pytest.raises(ValueError, match="finite|integer"):
+            Grid(lo, hi, count)
+
+    def test_accepts_numpy_integer_count(self):
+        assert Grid(0.0, 1.0, np.int64(101)).h == Grid(0.0, 1.0, 101).h
 
 
 class TestDiscretize:
@@ -97,6 +115,47 @@ class TestEigenTridiagonal:
         vals = eigen_tridiagonal(op, 2, grid=g, weight=w).eigenvalues
         plain = eigen_tridiagonal(op, 2, grid=g).eigenvalues
         assert np.allclose(vals, plain / 4.0, rtol=1e-12)
+
+    def test_weighted_eigenvectors(self):
+        # T f = E w f with a varying weight: columns are w-normalized on the
+        # grid and solve the generalized problem, not the folded one
+        g = Grid(-6.0, 6.0, 1201)
+        op = discretize(lambda x: x * x, g)
+        w = 1.0 + 0.5 * np.sin(g.points)
+        res = eigen_tridiagonal(op, 4, grid=g, weight=w)
+        v = res.eigenvectors
+        assert np.allclose(np.sum(w[:, None] * v**2, axis=0) * g.h, 1.0, rtol=1e-12)
+        tv = op.diagonal[:, None] * v
+        tv[:-1] += op.offdiagonal[:, None] * v[1:]
+        tv[1:] += op.offdiagonal[:, None] * v[:-1]
+        residual = tv - res.eigenvalues * w[:, None] * v
+        assert np.max(np.abs(residual)) < 1e-9 * np.max(np.abs(tv))
+
+    @pytest.mark.parametrize("weight", [
+        np.full(2, np.inf),
+        np.array([1.0, np.nan]),
+        np.array([1.0, 0.0]),
+        np.array([1.0, -2.0]),
+    ], ids=["inf", "nan", "zero", "negative"])
+    def test_rejects_bad_weight(self, weight):
+        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match="weight must be finite and strictly positive"):
+            eigen_tridiagonal(op, 2, weight=weight)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rejects_weight_of_wrong_length(self, n):
+        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.5]))
+        with pytest.raises(ValueError, match=r"weight must have 2 entries"):
+            eigen_tridiagonal(op, 2, weight=np.ones(n))
+
+    def test_eigenvectors_computed_on_first_read(self):
+        g = Grid(-10.0, 10.0, 801)
+        res = eigen_tridiagonal(discretize(lambda x: x * x, g), 3, grid=g)
+        assert "eigenvectors" not in vars(res)
+        vecs = res.eigenvectors
+        assert vecs.shape == (g.count, 3)
+        assert "eigenvectors" in vars(res)
+        assert res.eigenvectors is vecs
 
     def test_convergence_ratio(self):
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
@@ -200,3 +259,47 @@ class TestSolveBracketed:
     def test_nonfinite_rejected(self, g):
         with pytest.raises(ValueError, match="not finite"):
             solve_bracketed(g, 0.0, 1.0)
+
+
+def _cli_operators():
+    """The operators that ``spectrum --mode numeric|both`` and the harmonic
+    ``susy-check`` eigensolve, with their eigenvalue counts."""
+    params = CatenoidParams(1.0)
+    r = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, 4001)
+    constant = discretize_sturm_liouville(
+        lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(3, r), r
+    )
+    x = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
+    scarf = discretize(lambda x: scarf_form_pdfv(params, 2, x), x)
+    u = Grid(-10.0, 10.0, 4001)
+    v1, v2 = partner_potentials_from_W(lambda u: u, u.points, dW=np.ones_like)
+    return {
+        "constant_m3": (constant, 7),
+        "scarf_m2": (scarf, 6),
+        "harmonic_minus": (discretize(lambda _: v1, u), 7),
+        "harmonic_plus": (discretize(lambda _: v2, u), 6),
+    }
+
+
+def _random_operators():
+    """Seeded matrices that split (zero off-diagonals) and repeat values."""
+    ops = {}
+    for seed in range(6):
+        g = np.random.default_rng(1000 + seed)
+        n = int(g.integers(20, 300))
+        diag = g.integers(-3, 4, n).astype(float)  # few distinct values
+        off = g.choice([0.0, 0.5, -1.0], n - 1)
+        if seed % 3 == 0:
+            off[:] = 0.0  # diagonal matrix: every eigenvalue repeated
+        ops[f"random_{seed}"] = (TridiagonalOperator(diag, off), int(g.integers(1, n + 1)))
+    return ops
+
+
+@pytest.mark.parametrize("op, k", [
+    pytest.param(op, k, id=name) for name, (op, k) in {**_cli_operators(), **_random_operators()}.items()
+])
+def test_eigenvalues_match_vector_path(op, k):
+    from scipy.linalg import eigh_tridiagonal
+
+    ref, _ = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))
+    assert np.array_equal(eigen_tridiagonal(op, k).eigenvalues, ref)
