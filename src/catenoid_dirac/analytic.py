@@ -42,6 +42,7 @@ __all__ = [
     "energy_dependent_branch",
     "scarf_params_pdfv",
     "scarf_params_physical",
+    "scarf_endpoint_kappa",
     "energy_pdfv",
     "eigenfunction_pdfv",
     "superpotential_pdfv",
@@ -458,6 +459,17 @@ def scarf_params_physical(
         lam=lam,
         branch=label,
     )
+
+
+def scarf_endpoint_kappa(params: CatenoidParams, m: int) -> tuple[float, float]:
+    """Coefficients (kappa at x -> -pi/2, kappa at x -> +pi/2) of the
+    endpoint singularity kappa/delta^2 of the Scarf potential, delta being
+    the distance to the end: (m^2-1) -+ (2m+R-4mR)/2.  At an end with
+    kappa < 0 the operator is unbounded below, so a clipped grid has a
+    lowest level that scales like kappa/clip^2.
+    """
+    b = 0.5 * (2 * m + params.R - 4 * m * params.R)
+    return (m * m - 1) - b, (m * m - 1) + b
 
 
 def energy_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers) -> EnergyLevel:

@@ -26,6 +26,7 @@ from .analytic import (
     energy_constant_case,
     energy_pdfv,
     eigenfunction_pdfv,
+    scarf_endpoint_kappa,
     scarf_params_physical,
 )
 from .geometry import CatenoidParams
@@ -59,12 +60,22 @@ from .susy import (
 
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
+CSV_BLOCK_ROWS = 8192  # rows formatted per % call: bounds the temporary strings
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Header line, then one "%.17g" row per sample, comma-separated.
+
+    Formats a block of rows in one % call: the same bytes as np.savetxt,
+    without its per-row Python loop.
+    """
+    table = np.column_stack(columns)
+    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=",".join(header), comments="")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _json_default(obj):
@@ -154,6 +165,11 @@ def cmd_spectrum(args) -> int:
         numeric = [scale * math.sqrt(e) if e >= 0 else math.nan for e in eps_sq]
         validity_flags += [f"n={n}: numeric eps^2 = {e:g} is negative"
                            for n, e in enumerate(eps_sq) if e < 0]
+        if pdfv:
+            validity_flags += [
+                f"Scarf potential ~ kappa/delta^2 at x = {end}pi/2 with kappa = {k:g} < 0: "
+                f"the lowest numeric level scales like kappa/X_DELTA^2 (X_DELTA = {X_DELTA:g})"
+                for end, k in zip("-+", scarf_endpoint_kappa(params, args.m)) if k < 0]
     records = []
     for n in range(n_levels):
         rec: dict = {"n": n, "m": args.m}

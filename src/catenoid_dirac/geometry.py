@@ -9,6 +9,7 @@ finite-difference constructions from the embedding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +29,19 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class CatenoidParams:
-    """Throat radius of the catenoid bridge."""
+    """Throat radius of the catenoid bridge.
+
+    R > 0, and R^2, which every formula uses, must be a finite normal
+    float: about 1.5e-154 < R < 1.3e154.
+    """
 
     R: float
 
     def __post_init__(self):
         if not (self.R > 0.0) or not math.isfinite(self.R):
             raise ValueError(f"bridge radius must be positive, got {self.R}")
+        if not sys.float_info.min <= self.R * self.R < math.inf:
+            raise ValueError(f"bridge radius {self.R} is out of range: R^2 underflows or overflows")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from catenoid_dirac.analytic import (
     near_origin_solution,
     partner_eigenfunction_constant,
     partner_eigenfunction_pdfv,
+    scarf_endpoint_kappa,
     scarf_params_pdfv,
     scarf_params_physical,
     superpotential_pdfv,
@@ -274,6 +275,25 @@ class TestScarfParams:
         for n in range(4):
             ref = (s.A + n) ** 2 - 1.0
             assert abs(vals[n] - ref) / abs(ref) < 1e-3
+
+
+class TestScarfEndpointKappa:
+    @pytest.mark.parametrize("R, m, kappa", [
+        (0.5, 1, (-0.25, 0.25)),
+        (0.8, 1, (0.2, -0.2)),
+        (1.0, 2, (4.5, 1.5)),
+    ])
+    def test_values(self, R, m, kappa):
+        assert scarf_endpoint_kappa(CatenoidParams(R), m) == pytest.approx(kappa, abs=1e-15)
+
+    @pytest.mark.parametrize("R, m", [(0.5, 1), (0.8, 1), (1.0, 2), (1.3, -3)])
+    def test_is_the_endpoint_singularity(self, R, m):
+        # delta^2 * V at distance delta from each end tends to kappa like delta^2
+        params = CatenoidParams(R)
+        k_minus, k_plus = scarf_endpoint_kappa(params, m)
+        for delta in (1e-3, 1e-4):
+            assert abs(delta**2 * scarf_form_pdfv(params, m, -math.pi / 2 + delta) - k_minus) < 5 * delta**2
+            assert abs(delta**2 * scarf_form_pdfv(params, m, math.pi / 2 - delta) - k_plus) < 5 * delta**2
 
 
 class TestEnergyPdfv:

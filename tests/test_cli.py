@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import catenoid_dirac
-from catenoid_dirac.cli import main
+from catenoid_dirac.cli import CSV_BLOCK_ROWS, _write_csv, main
 
 
 def read_csv(path):
@@ -137,6 +137,21 @@ class TestSpectrum:
         assert flags == expected
 
 
+    @pytest.mark.parametrize("argv, expected", [
+        # the n = 0 level of this run reads -2.19e7
+        (["--R", "0.5", "--m", "1", "--lambda", "1", "--mode", "both"], [("-", "-0.25")]),
+        (["--R", "0.8", "--m", "1", "--lambda", "1", "--mode", "numeric"], [("+", "-0.2")]),
+        (["--R", "1", "--m", "2", "--lambda", "1", "--mode", "both"], []),
+        (["--R", "0.5", "--m", "1", "--lambda", "1", "--mode", "analytic"], []),
+    ], ids=["minus_end", "plus_end", "both_ends_positive", "analytic_only"])
+    def test_oscillatory_scarf_end_flagged(self, tmp_path, argv, expected):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", *argv, "--n", "3", "--out", str(out)]) == 0
+        flags = [f for f in read_manifest(out)["validity_flags"] if "kappa" in f]
+        assert [(f.split("x = ")[1][0], f.split("kappa = ")[1].split()[0]) for f in flags] == expected
+        assert all("kappa/X_DELTA^2" in f for f in flags)
+
+
 class TestWavefunction:
     def test_ground_state_profile(self, tmp_path):
         out = tmp_path / "wf.csv"
@@ -248,8 +263,9 @@ def test_unread_option_rejected(tmp_path, argv):
     assert not out.exists()
 
 
-# values outside the input contract (R, vf, lambda finite and > 0; n >= 0;
-# samples >= 2; finite umin < umax), each refused before any file is written
+# values outside the input contract (R, vf, lambda finite and > 0; R^2 a
+# finite normal float; n >= 0; samples >= 2; finite umin < umax), each
+# refused before any file is written
 REJECTED_INPUTS = [
     ["wavefunction", "--vf", "-1", "--m", "3", "--n", "0"],
     ["report-figures", "--allow-invalid", "--vf", "-1"],
@@ -261,6 +277,10 @@ REJECTED_INPUTS = [
     ["potentials", "--umax", "inf"],
     ["potentials", "--lambda", "inf"],
     ["spectrum", "--vf", "inf"],
+    ["potentials", "--m", "2", "--R", "1e-300"],
+    ["wavefunction", "--m", "3", "--n", "1", "--R", "1e-300"],
+    ["potentials", "--m", "2", "--R", "1e200"],
+    ["wavefunction", "--m", "3", "--n", "1", "--R", "1e200"],
 ]
 
 
@@ -269,6 +289,29 @@ def test_rejected_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# every special value "%.17g" formats: nan, +-inf, -0.0, the smallest
+# subnormal, the smallest normal, the largest float, and plain values
+CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, 3.0, 0.1, -1e-5]
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 5])
+@pytest.mark.parametrize("rows", [1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  20001])
+def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
+    rng = np.random.default_rng(rows * 10 + ncols)
+    flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
+    flat[::3] = np.resize(CSV_VALUES, flat[::3].size)
+    cols = list(flat.reshape(rows, ncols).T)
+    header = [f"c{j}" for j in range(ncols)]
+    out, oracle = tmp_path / "out.csv", tmp_path / "oracle.csv"
+    _write_csv(out, header, cols)
+    with open(oracle, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+                   header=",".join(header), comments="")
+    assert out.read_bytes() == oracle.read_bytes()
 
 
 class TestReproducibility:

@@ -27,6 +27,16 @@ class TestParams:
         with pytest.raises(ValueError):
             CatenoidParams(-1.0)
 
+    @pytest.mark.parametrize("R", [1e-300, 1.4e-154, 1.4e154, 1e200])
+    def test_rejects_radius_whose_square_leaves_range(self, R):
+        # R^2 below the smallest normal float, or infinite
+        with pytest.raises(ValueError, match="out of range"):
+            CatenoidParams(R)
+
+    @pytest.mark.parametrize("R", [1.5e-154, 1.3e154])
+    def test_accepts_radius_at_range_edges(self, R):
+        assert CatenoidParams(R).R == R
+
     def test_phi_normalized(self):
         p = SurfacePoint(0.0, 2 * math.pi + 1.0)
         assert abs(p.phi - 1.0) < 1e-12
