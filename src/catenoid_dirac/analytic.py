@@ -15,11 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CatenoidParams
-from .numeric import Grid, WavefunctionSamples, solve_bracketed
+from .numeric import Grid, WavefunctionSamples, solve_bracketed, trapezoid_norm
 from .potentials import (
     PotentialModel,
     ScarfVF,
     _central_derivative,
+    _check_x,
     _rspace_potential,
     fermi_velocity,
 )
@@ -56,11 +57,6 @@ BOX_CONSTANT = (40.0, 16001)
 BOX_PDFV = (60.0, 24001)
 
 
-def _trapezoid_norm(values, u, weight=1.0) -> float:
-    """sqrt of the trapezoid integral of weight*values^2 over the samples u."""
-    return math.sqrt(np.trapezoid(weight * values**2, u))
-
-
 def _box_normalized(f, u, params: CatenoidParams, lam: float | None = None):
     """f(u) divided by the norm of f on a truncated box: BOX_CONSTANT with
     measure du, or, given the velocity scale lam, BOX_PDFV with the weight
@@ -68,7 +64,7 @@ def _box_normalized(f, u, params: CatenoidParams, lam: float | None = None):
     half, count = BOX_CONSTANT if lam is None else BOX_PDFV
     uu = np.linspace(-half * params.R, half * params.R, count)
     weight = 1.0 if lam is None else _pdfv_weight(params, lam, uu)
-    return f(u) / _trapezoid_norm(f(uu), uu, weight)
+    return f(u) / trapezoid_norm(f(uu), uu, weight)
 
 
 @dataclass(frozen=True)
@@ -237,9 +233,7 @@ def zero_energy_solution(m: int, x, amplitude: float = 1.0):
     amplitude * [1+exp(2ix)]^2 * exp(-2i*[x - m*arctan(exp(ix))]),
     complex-valued, finite on compact subsets of (-pi/2, pi/2).
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= math.pi / 2):
-        raise ValueError("x must lie strictly inside (-pi/2, pi/2)")
+    x = _check_x(x)
     return amplitude * (1.0 + np.exp(2j * x)) ** 2 * np.exp(-2j * (x - m * np.arctan(np.exp(1j * x))))
 
 
@@ -528,9 +522,7 @@ def eigenfunction_pdfv(
 
 def superpotential_pdfv(scarf: ScarfParams, x):
     """x-space superpotential -A tan(x) + B sec(x) of the Scarf problem."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) >= math.pi / 2):
-        raise ValueError("x must lie strictly inside (-pi/2, pi/2)")
+    x = _check_x(x)
     return -scarf.A * np.tan(x) + scarf.B / np.cos(x)
 
 

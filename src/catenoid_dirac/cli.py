@@ -20,7 +20,6 @@ from . import __version__
 from .analytic import (
     QuantumNumbers,
     _pdfv_weight,
-    _trapezoid_norm,
     constant_case_rspace_potential,
     eigenfunction_constant_case,
     energy_constant_case,
@@ -36,6 +35,7 @@ from .numeric import (
     discretize,
     discretize_sturm_liouville,
     eigen_tridiagonal,
+    trapezoid_norm,
 )
 from .potentials import (
     ConstantVF,
@@ -63,11 +63,13 @@ R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
 CSV_BLOCK_ROWS = 8192  # rows formatted per % call: bounds the temporary strings
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
     """Header line, then one "%.17g" row per sample, comma-separated.
 
     Formats a block of rows in one % call: the same bytes as np.savetxt,
-    without its per-row Python loop.
+    without its per-row Python loop.  Returns one validity flag per column
+    with non-finite cells, naming its count and the first value of the
+    first column (u) at which one occurs.
     """
     table = np.column_stack(columns)
     row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
@@ -76,6 +78,10 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         for start in range(0, len(table), CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+    bad = ~np.isfinite(table)
+    return [f"{name}: {count} of {len(table)} cells are not finite, the first at u = "
+            f"{table[col.argmax(), 0]:g}"
+            for name, col, count in zip(header, bad.T, bad.sum(axis=0)) if count]
 
 
 def _json_default(obj):
@@ -127,10 +133,10 @@ def cmd_potentials(args) -> int:
         header.append("U_eff1")
         columns.append(u_eff(PotentialModel(ScarfVF(args.lam), args.m, SpinorBranch(+1)), params, u))
     out = Path(args.out)
-    _write_csv(out, header, columns)
+    flags = _write_csv(out, header, columns)
     echo = _params_echo(args, ["R", "m", "vf", "lam", "umin", "umax", "samples"])
     _write_manifest(out, "potentials", echo,
-                    {"domain": [args.umin, args.umax], "samples": args.samples}, [])
+                    {"domain": [args.umin, args.umax], "samples": args.samples}, flags)
     return 0
 
 
@@ -201,7 +207,7 @@ def cmd_spectrum(args) -> int:
         keys = sorted({k for r in records for k in r})
         cols = [np.array([math.nan if isinstance(r.get(k), str) else float(r.get(k, math.nan))
                           for r in records]) for k in keys]
-        _write_csv(out, keys, cols)
+        _write_csv(out, keys, cols)  # NaN cells are placeholders, flagged above
     else:
         _write_json(out, payload)
     echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "mode"])
@@ -234,13 +240,10 @@ def cmd_wavefunction(args) -> int:
             params, qn, u, normalize=False, allow_invalid=args.allow_invalid
         )
         weight, weight_label = 1.0, "du"
-    norm = _trapezoid_norm(vals, u, weight)
-    if norm == 0.0:
-        raise ValueError("wavefunction vanishes on the requested grid")
-    vals = vals / norm
+    vals = vals / trapezoid_norm(vals, u, weight)
     density = vals**2
     out = Path(args.out)
-    _write_csv(out, ["u", "value", "density"], [u, vals, density])
+    validity_flags += _write_csv(out, ["u", "value", "density"], [u, vals, density])
     echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "umin", "umax", "samples", "allow_invalid"])
     _write_manifest(
         out, "wavefunction", echo,
@@ -369,14 +372,15 @@ def cmd_report_figures(args) -> int:
         return cols
 
     header = ["u"] + [f"density_n{n}" for n in FIGURE_LEVELS]
-    _write_csv(out, header, [u] + densities(FIGURE_M, True))
-    _write_csv(companion, header, [u] + densities(COMPANION_M, False))
+    flags = _write_csv(out, header, [u] + densities(FIGURE_M, True))
+    companion_flags = _write_csv(companion, header, [u] + densities(COMPANION_M, False))
     echo = _params_echo(args, ["R", "vf", "umin", "umax", "samples", "allow_invalid"])
     trunc = {"domain": [args.umin, args.umax], "samples": args.samples,
              "regularization": "negative radicands replaced by absolute values"}
     _write_manifest(out, "report-figures", {**echo, "m": FIGURE_M},
-                    trunc, [f"validity caveat: {caveat}"])
-    _write_manifest(companion, "report-figures", {**echo, "m": COMPANION_M}, trunc, [])
+                    trunc, [f"validity caveat: {caveat}", *flags])
+    _write_manifest(companion, "report-figures", {**echo, "m": COMPANION_M}, trunc,
+                    companion_flags)
     return 0
 
 

@@ -1,7 +1,7 @@
 """Independent verification engine.
 
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
-eigensolver, ODE residual evaluation, quadrature normalization, node and
+eigensolver, ODE residual evaluation, the trapezoid norm, node and
 maxima counting, and bracketed root finding.  Everything here is oblivious
 to the closed-form results it is used to check.
 """
@@ -26,7 +26,7 @@ __all__ = [
     "ode_residual",
     "second_derivative",
     "first_derivative",
-    "quadrature_normalize",
+    "trapezoid_norm",
     "count_features",
     "solve_bracketed",
 ]
@@ -84,16 +84,14 @@ class SpectrumResult:
     """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
 
     ``eigenvectors`` (shape (count, k)) is solved for the first time it is
-    read, from the stored operator, which is already folded by the weight;
-    the columns are then unfolded by w^(-1/2) and normalized so that
-    sum(w * f**2) * h = 1 (h = 1 without a grid).  Later reads return the
-    same array.
+    read, from the stored operator, with columns normalized so that
+    sum(f**2) * h = 1 (h = 1 without a grid).  Later reads return the same
+    array.
     """
 
     eigenvalues: np.ndarray
     grid: Optional[Grid]
-    folded: TridiagonalOperator = field(repr=False)
-    weight: Optional[np.ndarray] = field(default=None, repr=False)
+    operator: TridiagonalOperator = field(repr=False)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -101,14 +99,10 @@ class SpectrumResult:
 
         k = len(self.eigenvalues)
         _, vecs = eigh_tridiagonal(
-            self.folded.diagonal, self.folded.offdiagonal, select="i", select_range=(0, k - 1)
+            self.operator.diagonal, self.operator.offdiagonal, select="i", select_range=(0, k - 1)
         )
-        w = 1.0
-        if self.weight is not None:
-            w = self.weight[:, None]
-            vecs = vecs * (1.0 / np.sqrt(self.weight))[:, None]
         h = self.grid.h if self.grid is not None else 1.0
-        return vecs / np.sqrt(np.sum(w * vecs**2 * h, axis=0))
+        return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
 
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -138,29 +132,16 @@ def discretize_sturm_liouville(
 
 
 def eigen_tridiagonal(
-    op: TridiagonalOperator,
-    k: int,
-    grid: Optional[Grid] = None,
-    weight: Optional[np.ndarray] = None,
+    op: TridiagonalOperator, k: int, grid: Optional[Grid] = None
 ) -> SpectrumResult:
     """Lowest k eigenvalues by Sturm-sequence bisection.
 
-    With a diagonal ``weight`` w (finite, positive, one entry per diagonal
-    element) the generalized problem T f = E w f is solved through the
-    symmetric fold w^(-1/2) T w^(-1/2).  Eigenvectors are solved for only
-    when the result's ``eigenvectors`` is first read (see SpectrumResult).
+    Eigenvectors are solved for only when the result's ``eigenvectors`` is
+    first read (see SpectrumResult).
     """
     n = len(op.diagonal)
     if not 1 <= k <= n:
         raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
-    if weight is not None:
-        weight = np.asarray(weight, dtype=float)
-        if weight.shape != (n,):
-            raise ValueError(f"weight must have {n} entries, got shape {weight.shape}")
-        if not np.all(np.isfinite(weight) & (weight > 0.0)):
-            raise ValueError("weight must be finite and strictly positive")
-        s = 1.0 / np.sqrt(weight)
-        op = TridiagonalOperator(op.diagonal * s * s, op.offdiagonal * s[:-1] * s[1:])
     # imported here, so that importing the package and the commands that never
     # eigensolve do not load scipy
     from scipy.linalg import eigh_tridiagonal
@@ -168,7 +149,7 @@ def eigen_tridiagonal(
     vals = eigh_tridiagonal(
         op.diagonal, op.offdiagonal, eigvals_only=True, select="i", select_range=(0, k - 1)
     )
-    return SpectrumResult(eigenvalues=vals, grid=grid, folded=op, weight=weight)
+    return SpectrumResult(eigenvalues=vals, grid=grid, operator=op)
 
 
 def second_derivative(f: np.ndarray, h: float) -> np.ndarray:
@@ -209,18 +190,15 @@ def ode_residual(f: np.ndarray, V, E: float, grid: Grid) -> float:
     return float(np.max(np.abs(res[2:-2])) / scale)
 
 
-def quadrature_normalize(
-    f: np.ndarray, weight, grid: Grid
-) -> tuple[np.ndarray, float]:
-    """Trapezoid normalization: returns (f/norm, norm) with
-    integral(weight*|f|^2) = 1 afterwards."""
-    f = np.asarray(f)
-    w = np.ones_like(f, dtype=float) if weight is None else np.asarray(weight, dtype=float)
-    norm_sq = np.trapezoid(w * np.abs(f) ** 2, dx=grid.h)
-    if norm_sq <= 0.0:
-        raise ValueError("cannot normalize a zero-norm function")
-    norm = math.sqrt(norm_sq)
-    return f / norm, norm
+def trapezoid_norm(values, u, weight=1.0) -> float:
+    """sqrt of the trapezoid integral of weight*values^2 over the samples u.
+
+    A zero norm, which no division can normalize, raises ValueError.
+    """
+    norm = math.sqrt(np.trapezoid(weight * values**2, u))
+    if norm == 0.0:
+        raise ValueError("cannot normalize a function whose weighted norm on the grid is zero")
+    return norm
 
 
 def count_features(f: np.ndarray) -> tuple[int, int]:

@@ -124,15 +124,11 @@ def _central_derivative(f: Callable, u: np.ndarray):
     return (-f(u + 2 * h) + 8 * f(u + h) - 8 * f(u - h) + f(u - 2 * h)) / (12 * h)
 
 
-def partner_potentials_from_W(W: Callable, u, dW: Callable | None = None):
-    """Partner pair (W^2 - W', W^2 + W') from a superpotential.
-
-    Falls back to a 5-point central difference when no analytic derivative
-    is supplied.
-    """
+def partner_potentials_from_W(W: Callable, u, dW: Callable):
+    """Partner pair (W^2 - W', W^2 + W') from a superpotential W and its
+    derivative dW."""
     u = np.asarray(u, dtype=float)
-    w = W(u)
-    wp = dW(u) if dW is not None else _central_derivative(W, u)
+    w, wp = W(u), dW(u)
     return w * w - wp, w * w + wp
 
 

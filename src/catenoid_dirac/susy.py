@@ -44,11 +44,11 @@ class LadderDirection(enum.Enum):
 
 @dataclass(frozen=True)
 class FactorizedSystem:
-    """Superpotential with its partner potentials on a working grid."""
+    """Superpotential W and its derivative dW on a working grid."""
 
     W: Callable
     grid: Grid
-    dW: Optional[Callable] = None
+    dW: Callable
 
     def partner_potentials(self, u):
         return partner_potentials_from_W(self.W, u, dW=self.dW)

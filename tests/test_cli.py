@@ -178,6 +178,15 @@ class TestWavefunction:
               "--out", str(out)])
         assert read_manifest(out)["truncation"]["weight"] == "1/v_F(u)^2"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_zero_norm_refused(self, tmp_path, capsys):
+        # the weight 1/v_F^2 underflows to 0 at every sample
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--m", "3", "--n", "2", "--lambda", "1e300",
+                     "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestSusyCheck:
     def test_default_passes(self, tmp_path):
@@ -312,6 +321,45 @@ def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
         np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="")
     assert out.read_bytes() == oracle.read_bytes()
+
+
+def test_write_csv_flags_non_finite_columns(tmp_path):
+    u = np.arange(4.0)
+    flags = _write_csv(tmp_path / "out.csv", ["u", "a", "b"],
+                       [u, np.array([1.0, math.nan, math.inf, 2.0]), u])
+    assert flags == ["a: 2 of 4 cells are not finite, the first at u = 1"]
+
+
+# runs that write non-finite cells: each affected column gets one flag with
+# its count and the first u, and the command still exits 0
+@pytest.mark.parametrize("argv, expected", [
+    (["wavefunction", "--m", "3", "--n", "1", "--R", "1e-9"],
+     ["value: 496 of 1001 cells are not finite, the first at u = -10",
+      "density: 496 of 1001 cells are not finite, the first at u = -10"]),
+    (["potentials", "--m", "2", "--R", "1e-120"],
+     ["V_eff1: 1 of 1001 cells are not finite, the first at u = 0",
+      "V_eff2: 1 of 1001 cells are not finite, the first at u = 0"]),
+], ids=["wavefunction", "potentials"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_cells_flagged(tmp_path, argv, expected):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert read_manifest(out)["validity_flags"] == expected
+
+
+README_COMMANDS = [
+    (["potentials", "--R", "1", "--m", "3"], "pots.csv"),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], "spectrum.json"),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], "wf.csv"),
+    (["report-figures", "--allow-invalid"], "fig.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, name", README_COMMANDS, ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_readme_commands_flag_no_non_finite_cell(tmp_path, argv, name):
+    assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    for manifest in tmp_path.glob("*.manifest.json"):
+        assert not any("not finite" in f for f in json.loads(manifest.read_text())["validity_flags"])
 
 
 class TestReproducibility:

@@ -15,9 +15,9 @@ from catenoid_dirac.numeric import (
     eigen_tridiagonal,
     first_derivative,
     ode_residual,
-    quadrature_normalize,
     second_derivative,
     solve_bracketed,
+    trapezoid_norm,
 )
 from catenoid_dirac.potentials import partner_potentials_from_W, scarf_form_pdfv
 
@@ -107,46 +107,20 @@ class TestEigenTridiagonal:
         gram = res.eigenvectors.T @ res.eigenvectors * g.h
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
-    def test_generalized_weight(self):
-        # T f = E w f with constant weight w rescales the spectrum by 1/w
-        g = Grid(0.0, math.pi, 2001)
-        op = discretize(lambda x: np.zeros_like(x), g)
-        w = np.full(g.count, 4.0)
-        vals = eigen_tridiagonal(op, 2, grid=g, weight=w).eigenvalues
-        plain = eigen_tridiagonal(op, 2, grid=g).eigenvalues
-        assert np.allclose(vals, plain / 4.0, rtol=1e-12)
-
     def test_weighted_eigenvectors(self):
-        # T f = E w f with a varying weight: columns are w-normalized on the
-        # grid and solve the generalized problem, not the folded one
+        # columns are normalized with the grid weight h and solve T v = E v
+        # with the stored operator T
         g = Grid(-6.0, 6.0, 1201)
-        op = discretize(lambda x: x * x, g)
-        w = 1.0 + 0.5 * np.sin(g.points)
-        res = eigen_tridiagonal(op, 4, grid=g, weight=w)
+        op = discretize(lambda x: x * x + 0.5 * np.sin(x), g)
+        res = eigen_tridiagonal(op, 4, grid=g)
         v = res.eigenvectors
-        assert np.allclose(np.sum(w[:, None] * v**2, axis=0) * g.h, 1.0, rtol=1e-12)
+        assert res.operator is op
+        assert np.allclose(np.sum(v**2, axis=0) * g.h, 1.0, rtol=1e-12)
         tv = op.diagonal[:, None] * v
         tv[:-1] += op.offdiagonal[:, None] * v[1:]
         tv[1:] += op.offdiagonal[:, None] * v[:-1]
-        residual = tv - res.eigenvalues * w[:, None] * v
+        residual = tv - res.eigenvalues * v
         assert np.max(np.abs(residual)) < 1e-9 * np.max(np.abs(tv))
-
-    @pytest.mark.parametrize("weight", [
-        np.full(2, np.inf),
-        np.array([1.0, np.nan]),
-        np.array([1.0, 0.0]),
-        np.array([1.0, -2.0]),
-    ], ids=["inf", "nan", "zero", "negative"])
-    def test_rejects_bad_weight(self, weight):
-        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.5]))
-        with pytest.raises(ValueError, match="weight must be finite and strictly positive"):
-            eigen_tridiagonal(op, 2, weight=weight)
-
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_rejects_weight_of_wrong_length(self, n):
-        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.5]))
-        with pytest.raises(ValueError, match=r"weight must have 2 entries"):
-            eigen_tridiagonal(op, 2, weight=np.ones(n))
 
     def test_eigenvectors_computed_on_first_read(self):
         g = Grid(-10.0, 10.0, 801)
@@ -193,19 +167,20 @@ class TestDerivativesAndResidual:
 class TestNormalize:
     def test_constant(self):
         g = Grid(0.0, 1.0, 1001)
-        f, norm = quadrature_normalize(np.ones(g.count), None, g)
-        assert abs(norm - 1.0) < 1e-12
-        assert np.allclose(f, 1.0)
+        assert abs(trapezoid_norm(np.ones(g.count), g.points) - 1.0) < 1e-12
+        # the weight multiplies the squared values under the integral
+        assert abs(trapezoid_norm(np.ones(g.count), g.points, np.full(g.count, 4.0)) - 2.0) < 1e-12
 
     def test_sine(self):
         g = Grid(0.0, 1.0, 10001)
-        f, norm = quadrature_normalize(np.sin(math.pi * g.points), None, g)
-        assert abs(norm - math.sqrt(0.5)) < 1e-8
+        assert abs(trapezoid_norm(np.sin(math.pi * g.points), g.points) - math.sqrt(0.5)) < 1e-8
 
     def test_zero_rejected(self):
         g = Grid(0.0, 1.0, 101)
-        with pytest.raises(ValueError):
-            quadrature_normalize(np.zeros(g.count), None, g)
+        with pytest.raises(ValueError, match="norm on the grid is zero"):
+            trapezoid_norm(np.zeros(g.count), g.points)
+        with pytest.raises(ValueError, match="norm on the grid is zero"):
+            trapezoid_norm(np.ones(g.count), g.points, np.zeros(g.count))
 
 
 class TestCountFeatures:

@@ -76,16 +76,18 @@ class TestVEff:
 
 class TestPartnerFromW:
     def test_harmonic(self):
-        v1, v2 = partner_potentials_from_W(lambda u: u, np.array(0.0))
+        v1, v2 = partner_potentials_from_W(lambda u: u, np.array(0.0), dW=np.ones_like)
         assert abs(v1 + 1.0) < 1e-9 and abs(v2 - 1.0) < 1e-9
 
     def test_constant(self):
-        v1, v2 = partner_potentials_from_W(lambda u: 3.0 * np.ones_like(u), np.linspace(-1, 1, 5))
+        v1, v2 = partner_potentials_from_W(lambda u: 3.0 * np.ones_like(u), np.linspace(-1, 1, 5),
+                                           dW=np.zeros_like)
         assert np.allclose(v1, 9.0, atol=1e-8) and np.allclose(v2, 9.0, atol=1e-8)
 
     def test_catenoid_matches_v_eff(self):
         u = np.array(1.0)
-        v1, v2 = partner_potentials_from_W(lambda uu: superpotential(R1, 1, uu), u)
+        v1, v2 = partner_potentials_from_W(lambda uu: superpotential(R1, 1, uu), u,
+                                           dW=lambda uu: superpotential_derivative(R1, 1, uu))
         assert abs(v1 - 0.85355339059327373) < 1e-9
         assert abs(v2 - 0.14644660940672624) < 1e-9
 
