@@ -60,6 +60,7 @@ from .susy import (
 
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
+SPECTRUM_POINTS = 4001  # grid of the numeric spectrum levels
 CSV_BLOCK_ROWS = 8192  # rows formatted per % call: bounds the temporary strings
 
 
@@ -145,13 +146,15 @@ def _numeric_levels(params: CatenoidParams, m: int, count: int, pdfv: bool) -> n
     problem, or of the compact-coordinate form of the constant-velocity
     problem, where the discrete part of the spectrum is genuine."""
     if pdfv:
-        grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
+        grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, SPECTRUM_POINTS)
         op = discretize(lambda x: scarf_form_pdfv(params, m, x), grid)
     else:
-        grid = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, 4001)
+        grid = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, SPECTRUM_POINTS)
         op = discretize_sturm_liouville(
             lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(m, r), grid
         )
+    # two spare levels: asking for exactly count changes the last bits of the
+    # levels, because the bisection starts from another interval
     return eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues[:count]
 
 
@@ -213,8 +216,9 @@ def cmd_spectrum(args) -> int:
     echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "mode"])
     domain = None
     if args.mode != "analytic":
-        domain = (f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], 4001 points" if pdfv
-                  else "compact coordinate, 4001 points")
+        domain = (f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], "
+                  f"{SPECTRUM_POINTS} points" if pdfv
+                  else f"compact coordinate, {SPECTRUM_POINTS} points")
     _write_manifest(out, "spectrum", echo, {"numeric_domain": domain}, validity_flags)
     return 0
 
@@ -439,13 +443,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_inputs(args) -> None:
     """Validate every option the subcommand has, through the validated
     types, before any command runs: R, vf and lambda finite and > 0,
-    n >= 0, samples >= 2 and finite umin < umax."""
+    n >= 0 (and at most SPECTRUM_POINTS - 3 for numeric spectrum levels),
+    samples >= 2 and finite umin < umax."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
     if getattr(args, "lam", None) is not None:
         ScarfVF(args.lam)
     if hasattr(args, "n"):
         QuantumNumbers(args.n, args.m)
+    if getattr(args, "mode", None) in ("numeric", "both"):
+        n_max = SPECTRUM_POINTS - 3  # levels 0..n plus the two spare ones
+        if args.n > n_max:
+            raise ValueError(f"--n must be at most {n_max} with --mode {args.mode}, got {args.n}")
     if hasattr(args, "samples"):
         if args.samples < 2:
             raise ValueError("need at least 2 samples")

@@ -1,14 +1,19 @@
 """Independent verification engine.
 
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
-eigensolver, ODE residual evaluation, the trapezoid norm, node and
-maxima counting, and bracketed root finding.  Everything here is oblivious
+eigensolver (LAPACK, through scipy's compiled extension), ODE residual
+evaluation, the trapezoid norm, node and maxima counting, and bracketed root
+finding.  Everything here is oblivious
 to the closed-form results it is used to check.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -84,9 +89,10 @@ class SpectrumResult:
     """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
 
     ``eigenvectors`` (shape (count, k)) is solved for the first time it is
-    read, from the stored operator, with columns normalized so that
-    sum(f**2) * h = 1 (h = 1 without a grid).  Later reads return the same
-    array.
+    read, from the stored operator: LAPACK ``dstebz`` (block order) gives the
+    levels, ``dstein`` the vectors by inverse iteration, and the columns are
+    sorted by level and normalized so that sum(f**2) * h = 1 (h = 1 without a
+    grid).  Later reads return the same array.
     """
 
     eigenvalues: np.ndarray
@@ -95,14 +101,56 @@ class SpectrumResult:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        from scipy.linalg import eigh_tridiagonal
-
-        k = len(self.eigenvalues)
-        _, vecs = eigh_tridiagonal(
-            self.operator.diagonal, self.operator.offdiagonal, select="i", select_range=(0, k - 1)
-        )
+        d, e = self.operator.diagonal, self.operator.offdiagonal
+        if len(d) == 1:
+            vecs = np.ones((1, 1))
+        else:
+            lapack = _flapack()
+            m, w, iblock, isplit, info = lapack.dstebz(
+                d, e, 2, 0.0, 1.0, 1, len(self.eigenvalues), 0.0, "B"
+            )
+            _check_info(info, "dstebz")
+            w = w[:m]
+            vecs, info = lapack.dstein(d, e, w, iblock, isplit)
+            _check_info(info, "dstein")
+            vecs = vecs[:, np.argsort(w)]
         h = self.grid.h if self.grid is not None else 1.0
         return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
+
+
+def _flapack():
+    """scipy's compiled LAPACK extension ``scipy/linalg/_flapack``.
+
+    Loaded from its file on its own, in about 10 ms, because importing the
+    scipy.linalg package to reach it costs about 0.4 s.  The module is put in
+    sys.modules, so it is loaded once per process and shared with scipy.linalg
+    if that is imported too.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("the eigensolver needs scipy, which is not installed")
+    folder = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        from importlib.metadata import version
+
+        raise ImportError(f"scipy {version('scipy')} has no compiled extension {name} in {folder}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
 
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -134,21 +182,28 @@ def discretize_sturm_liouville(
 def eigen_tridiagonal(
     op: TridiagonalOperator, k: int, grid: Optional[Grid] = None
 ) -> SpectrumResult:
-    """Lowest k eigenvalues by Sturm-sequence bisection.
+    """Lowest k eigenvalues by Sturm-sequence bisection (LAPACK ``dstebz``).
 
+    The entries of op must be finite and k an integer in [1, len(op.diagonal)].
     Eigenvectors are solved for only when the result's ``eigenvectors`` is
     first read (see SpectrumResult).
     """
-    n = len(op.diagonal)
+    d, e = op.diagonal, op.offdiagonal
+    n = len(d)
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"eigenpair count k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
-    # imported here, so that importing the package and the commands that never
-    # eigensolve do not load scipy
-    from scipy.linalg import eigh_tridiagonal
-
-    vals = eigh_tridiagonal(
-        op.diagonal, op.offdiagonal, eigvals_only=True, select="i", select_range=(0, k - 1)
-    )
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("operator entries must be finite")
+    if n == 1:
+        vals = np.array(d, dtype=float)
+    else:
+        # the call scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
+        # select="i", select_range=(0, k - 1)) makes: levels 1..k, tol 0
+        m, w, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E")
+        _check_info(info, "dstebz")
+        vals = w[:m]
     return SpectrumResult(eigenvalues=vals, grid=grid, operator=op)
 
 

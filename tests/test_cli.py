@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import catenoid_dirac
-from catenoid_dirac.cli import CSV_BLOCK_ROWS, _write_csv, main
+from catenoid_dirac.cli import (
+    CSV_BLOCK_ROWS,
+    SPECTRUM_POINTS,
+    _check_inputs,
+    _write_csv,
+    build_parser,
+    main,
+)
 
 
 def read_csv(path):
@@ -290,6 +297,8 @@ REJECTED_INPUTS = [
     ["wavefunction", "--m", "3", "--n", "1", "--R", "1e-300"],
     ["potentials", "--m", "2", "--R", "1e200"],
     ["wavefunction", "--m", "3", "--n", "1", "--R", "1e200"],
+    ["spectrum", "--R", "1", "--m", "3", "--n", "4000", "--mode", "both"],
+    ["spectrum", "--m", "2", "--lambda", "1", "--n", "3999", "--mode", "numeric"],
 ]
 
 
@@ -298,6 +307,20 @@ def test_rejected_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# numeric levels 0..n, plus two spare ones, must fit the spectrum grid
+@pytest.mark.parametrize("mode, n, refused", [
+    ("both", 3999, True), ("numeric", 3999, True), ("numeric", 3998, False),
+    ("analytic", 10**6, False),
+])
+def test_spectrum_n_limited_by_numeric_grid(mode, n, refused):
+    args = build_parser().parse_args(["spectrum", "--n", str(n), "--mode", mode, "--out", "x"])
+    if refused:
+        with pytest.raises(ValueError, match=rf"--n must be at most {SPECTRUM_POINTS - 3} "):
+            _check_inputs(args)
+    else:
+        _check_inputs(args)
 
 
 # every special value "%.17g" formats: nan, +-inf, -0.0, the smallest
@@ -390,8 +413,8 @@ def test_import_leaves_out_scipy_integrate():
     assert result.stdout.strip() == "False"
 
 
-# prints whether any scipy module is loaded, after the code before it ran
-SCIPY_LOADED = "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+# prints the sorted names of the loaded scipy modules, after the code before it ran
+SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
 def _python(code, cwd=None):
@@ -404,19 +427,25 @@ def _python(code, cwd=None):
 
 
 def test_import_leaves_out_scipy():
-    assert _python(f"import sys, catenoid_dirac.cli; {SCIPY_LOADED}") == "False"
+    assert _python(f"import sys, catenoid_dirac.cli; {SCIPY_MODULES}") == "[]"
 
 
-# only the commands that eigensolve load scipy.linalg
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["potentials", "--R", "1", "--m", "3"], False),
-    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], False),
-    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], False),
-    (["report-figures", "--allow-invalid"], False),
-    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], False),
-    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], True),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
-def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, loads_scipy):
+# the scipy modules each command loads: none, or only the compiled LAPACK
+# extension for the commands that eigensolve; the id says whether any loads
+FLAPACK = {"scipy.linalg._flapack"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["potentials", "--R", "1", "--m", "3"], set()),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], set()),
+    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], set()),
+    (["report-figures", "--allow-invalid"], set()),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], set()),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], FLAPACK),
+    (["susy-check", "--mode", "catenoid"], FLAPACK),
+    (["susy-check", "--mode", "harmonic"], FLAPACK),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(bool(v)))
+def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, loaded):
     code = (f"import sys; from catenoid_dirac.cli import main; "
-            f"assert main({argv + ['--out', 'out']!r}) == 0; {SCIPY_LOADED}")
-    assert _python(code, cwd=tmp_path) == str(loads_scipy)
+            f"assert main({argv + ['--out', 'out']!r}) == 0; {SCIPY_MODULES}")
+    assert _python(code, cwd=tmp_path) == str(sorted(loaded))

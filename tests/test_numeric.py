@@ -1,8 +1,12 @@
+import importlib.machinery
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from catenoid_dirac import numeric
 from catenoid_dirac.analytic import constant_case_rspace_potential
 from catenoid_dirac.cli import R_DELTA, X_DELTA
 from catenoid_dirac.geometry import CatenoidParams
@@ -94,6 +98,31 @@ class TestEigenTridiagonal:
         with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
             eigen_tridiagonal(op, k)
 
+    @pytest.mark.parametrize("k", [2.0, 2.5, True, np.True_])
+    def test_rejects_k_that_is_not_an_integer(self, k):
+        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            eigen_tridiagonal(op, k)
+
+    def test_accepts_numpy_integer_k(self):
+        op = TridiagonalOperator(np.array([1.0, 3.0]), np.array([0.0]))
+        assert np.array_equal(eigen_tridiagonal(op, np.int64(2)).eigenvalues, [1.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "offdiagonal"])
+    def test_rejects_non_finite_entries(self, where, bad):
+        d, e = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5])
+        (d if where == "diagonal" else e)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eigen_tridiagonal(TridiagonalOperator(d, e), 2)
+
+    @pytest.mark.parametrize("grid", [None, Grid(0.0, 1.5, 16)], ids=["no_grid", "grid"])
+    def test_1x1_operator(self, grid):
+        res = eigen_tridiagonal(TridiagonalOperator(np.array([2.5]), np.array([])), 1, grid=grid)
+        assert np.array_equal(res.eigenvalues, [2.5])
+        h = grid.h if grid is not None else 1.0
+        assert np.array_equal(res.eigenvectors, [[1.0 / math.sqrt(h)]])
+
     def test_oscillation_theorem(self):
         g = Grid(-10.0, 10.0, 2001)
         res = eigen_tridiagonal(discretize(lambda x: x * x, g), 5, grid=g)
@@ -139,6 +168,30 @@ class TestEigenTridiagonal:
             e[npts] = eigen_tridiagonal(discretize(lambda x: x * x, g), 5, grid=g).eigenvalues
         ratio = np.abs(e[2001] - exact) / np.abs(e[4001] - exact)
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
+
+
+class TestFlapack:
+    NAME = "scipy.linalg._flapack"
+
+    def test_reuses_loaded_module(self, monkeypatch):
+        loaded = object()
+        monkeypatch.setitem(sys.modules, self.NAME, loaded)
+        assert numeric._flapack() is loaded
+
+    def test_missing_extension_names_scipy_version(self, monkeypatch):
+        from importlib.metadata import version
+
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=f"scipy {version('scipy')} has no compiled extension"):
+            numeric._flapack()
+
+    def test_lapack_error_raises(self, monkeypatch):
+        failing = SimpleNamespace(dstebz=lambda *args: (0, np.zeros(3), None, None, -3))
+        monkeypatch.setitem(sys.modules, self.NAME, failing)
+        op = TridiagonalOperator(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
+        with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
+            eigen_tridiagonal(op, 2)
 
 
 class TestDerivativesAndResidual:
@@ -238,22 +291,23 @@ class TestSolveBracketed:
 
 def _cli_operators():
     """The operators that ``spectrum --mode numeric|both`` and the harmonic
-    ``susy-check`` eigensolve, with their eigenvalue counts."""
+    ``susy-check`` eigensolve, with their eigenvalue counts, and the first two
+    on the finer grids of the benchmark sweep."""
     params = CatenoidParams(1.0)
-    r = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, 4001)
-    constant = discretize_sturm_liouville(
-        lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(3, r), r
-    )
-    x = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001)
-    scarf = discretize(lambda x: scarf_form_pdfv(params, 2, x), x)
+    ops = {}
+    for size in (4001, 16001, 64001):
+        r = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, size)
+        suffix = "" if size == 4001 else f"_{size}"
+        ops["constant_m3" + suffix] = (discretize_sturm_liouville(
+            lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(3, r), r
+        ), 7)
+        x = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, size)
+        ops["scarf_m2" + suffix] = (discretize(lambda x: scarf_form_pdfv(params, 2, x), x), 6)
     u = Grid(-10.0, 10.0, 4001)
     v1, v2 = partner_potentials_from_W(lambda u: u, u.points, dW=np.ones_like)
-    return {
-        "constant_m3": (constant, 7),
-        "scarf_m2": (scarf, 6),
-        "harmonic_minus": (discretize(lambda _: v1, u), 7),
-        "harmonic_plus": (discretize(lambda _: v2, u), 6),
-    }
+    ops["harmonic_minus"] = (discretize(lambda _: v1, u), 7)
+    ops["harmonic_plus"] = (discretize(lambda _: v2, u), 6)
+    return ops
 
 
 def _random_operators():
@@ -274,7 +328,11 @@ def _random_operators():
     pytest.param(op, k, id=name) for name, (op, k) in {**_cli_operators(), **_random_operators()}.items()
 ])
 def test_eigenvalues_match_vector_path(op, k):
+    # eigh_tridiagonal is the reference for both the levels and the vectors;
+    # the package itself never imports scipy.linalg
     from scipy.linalg import eigh_tridiagonal
 
-    ref, _ = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))
-    assert np.array_equal(eigen_tridiagonal(op, k).eigenvalues, ref)
+    ref, ref_vecs = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))
+    res = eigen_tridiagonal(op, k)
+    assert np.array_equal(res.eigenvalues, ref)
+    assert np.array_equal(res.eigenvectors, ref_vecs / np.sqrt(np.sum(ref_vecs**2, axis=0)))
