@@ -272,8 +272,7 @@ def near_origin_solution(m: int, epsilon: float, r, c1: float = 0.0, c2: float =
             raise ValueError(f"polynomial path needs an integer degree, got alpha={alpha}")
         out = out + c1 * damp * hermite(int(round(alpha)), s)
     if c2 != 0.0:
-        ks = np.array([kummer_m(-alpha / 2.0, 0.5, si * si) for si in np.atleast_1d(s)])
-        out = out + c2 * damp * ks.reshape(np.shape(s))
+        out = out + c2 * damp * kummer_m(-alpha / 2.0, 0.5, s ** 2)
     return out
 
 
@@ -323,7 +322,7 @@ def energy_dependent_branch(
     grid = Grid(-0.5, 0.5, r_count)
     r = grid.points
     arg = (6.0 * m + (8.0 * m * m - 11.0 - 12.0 * root) * r) / f**1.5
-    z = np.array([parabolic_cylinder_d(float(n), ai) for ai in arg])
+    z = parabolic_cylinder_d(float(n), arg)
     return float(root), WavefunctionSamples(grid=grid, values=z)
 
 

@@ -179,6 +179,8 @@ def cmd_spectrum(args) -> int:
                 f"Scarf potential ~ kappa/delta^2 at x = {end}pi/2 with kappa = {k:g} < 0: "
                 f"the lowest numeric level scales like kappa/X_DELTA^2 (X_DELTA = {X_DELTA:g})"
                 for end, k in zip("-+", scarf_endpoint_kappa(params, args.m)) if k < 0]
+        finite = np.flatnonzero(~np.isnan(numeric))  # candidates for the closest level
+        numeric_finite = np.asarray(numeric)[finite]
     records = []
     for n in range(n_levels):
         rec: dict = {"n": n, "m": args.m}
@@ -199,8 +201,8 @@ def cmd_spectrum(args) -> int:
         if args.mode == "both" and rec.get("valid") and numeric is not None:
             denom = max(abs(rec["E_analytic"]), 1e-300)
             rec["relative_discrepancy"] = abs(rec["E_analytic"] - numeric[n]) / denom
-            finite = [k for k, e in enumerate(numeric) if not math.isnan(e)]
-            closest = min(finite, key=lambda k: abs(numeric[k] - rec["E_analytic"]), default=n)
+            # argmin keeps the first of equal distances
+            closest = int(finite[np.argmin(np.abs(numeric_finite - rec["E_analytic"]))]) if finite.size else n
             if closest != n:
                 validity_flags.append(f"n={n}: closest numeric level is n={closest}")
         records.append(rec)

@@ -3,6 +3,11 @@
 Jacobi and Hermite polynomials by three-term recurrence, the Kummer
 confluent hypergeometric M by its power series, parabolic cylinder
 functions through the two-Kummer representation, and log-gamma.
+
+Jacobi and Hermite take arrays.  ``kummer_m`` and ``parabolic_cylinder_d``
+take a scalar or an array z: a scalar (a Python float, a numpy scalar or a
+0-d array) runs the series point by point and returns a Python float; an
+array runs one masked series loop for the whole grid and returns an array.
 """
 
 from __future__ import annotations
@@ -65,19 +70,42 @@ def jacobi(p: JacobiParams, x):
     return p1
 
 
-def kummer_m(a: float, b: float, z: float) -> float:
+def kummer_m(a: float, b: float, z):
     """Confluent hypergeometric M(a, b, z) by direct series summation,
     after Kummer's transformation for z < 0.
 
     The series terminates for non-positive integer a; otherwise summation
-    stops when terms fall below 1e-17 of the partial sum.
+    stops when terms fall below 1e-17 of the partial sum.  A scalar z
+    returns a float; an array z is summed in one loop over the elements
+    that have not yet converged and returns an array of its shape.
     """
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
-    terminating = a <= 0.0 and a == int(a)
+    if _is_scalar(z):
+        return _kummer_scalar(a, b, float(z))
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
+    flip = (z < 0.0) & (not _terminates(a))
+    out[~flip] = _kummer_series(a, b, z[~flip])
+    out[flip] = np.exp(z[flip]) * _kummer_series(b - a, b, -z[flip])
+    return out
+
+
+def _is_scalar(z) -> bool:
+    # the isinstance test (floats and numpy float64) saves np.ndim's ~2 us
+    # on the point-by-point path
+    return isinstance(z, float) or np.ndim(z) == 0
+
+
+def _terminates(a: float) -> bool:
+    return a <= 0.0 and a == int(a)
+
+
+def _kummer_scalar(a: float, b: float, z: float) -> float:
+    terminating = _terminates(a)
     if z < 0.0 and not terminating:
-        # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
-        return math.exp(z) * kummer_m(b - a, b, -z)
+        return math.exp(z) * _kummer_scalar(b - a, b, -z)
     total = 1.0
     term = 1.0
     for k in range(_KUMMER_MAX_TERMS):
@@ -88,6 +116,26 @@ def kummer_m(a: float, b: float, z: float) -> float:
         if abs(term) < 1e-17 * abs(total):
             return total
     raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z}")
+
+
+def _kummer_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """The series of _kummer_scalar, term for term, on a 1-D array z; each
+    element leaves the loop at the step at which its own sum converges."""
+    terminating = _terminates(a)
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    for k in range(_KUMMER_MAX_TERMS):
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        total += term
+        done = (terminating and a + k == 0.0) | (np.abs(term) < 1e-17 * np.abs(total))
+        out[idx[done]] = total[done]
+        keep = ~done
+        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+        if not idx.size:
+            return out
+    raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z[0]}")
 
 
 def hermite(n: int, x):
@@ -121,20 +169,23 @@ def reciprocal_gamma(x: float) -> float:
     return math.exp(log_gamma(1.0 - x)) * math.sin(math.pi * x) / math.pi
 
 
-def parabolic_cylinder_d(nu: float, z: float) -> float:
+def parabolic_cylinder_d(nu: float, z):
     """Weber parabolic cylinder function D_nu(z).
 
     Uses the two-Kummer representation; for non-negative integer nu one of
     the two terms drops out and the surviving series terminates, which
     reproduces the Hermite form 2^(-nu/2) e^(-z^2/4) H_nu(z/sqrt(2)).
+    A scalar z returns a float, an array z an array of its shape.
     """
     if abs(nu) > _PCF_MAX_NU:
         raise ValueError(f"order out of supported range |nu| <= {_PCF_MAX_NU}")
     is_int = nu >= 0.0 and nu == int(nu)
     z_max = _PCF_MAX_Z if is_int else _PCF_MAX_Z_NONINTEGER
-    if abs(z) > z_max:
+    scalar = _is_scalar(z)
+    z = float(z) if scalar else np.asarray(z, dtype=float)
+    if abs(z) > z_max if scalar else np.any(np.abs(z) > z_max):
         raise ValueError(f"argument out of supported range |z| <= {z_max} for nu={nu}")
-    pre = 2.0 ** (nu / 2.0) * math.exp(-z * z / 4.0)
+    pre = 2.0 ** (nu / 2.0) * (math.exp if scalar else np.exp)(-z * z / 4.0)
     c1 = math.sqrt(math.pi) * reciprocal_gamma((1.0 - nu) / 2.0)
     c2 = math.sqrt(2.0 * math.pi) * reciprocal_gamma(-nu / 2.0)
     term1 = c1 * kummer_m(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catenoid_dirac.analytic import (
     QuantumNumbers,
@@ -17,6 +19,7 @@ from catenoid_dirac.analytic import (
     energy_dependent_residual,
     energy_pdfv,
     jacobi_branch_params,
+    near_origin_degree,
     near_origin_quantization,
     near_origin_solution,
     partner_eigenfunction_constant,
@@ -37,6 +40,7 @@ from catenoid_dirac.numeric import (
     second_derivative,
 )
 from catenoid_dirac.potentials import scarf_form_pdfv
+from catenoid_dirac.specfun import kummer_m, parabolic_cylinder_d
 
 R1 = CatenoidParams(1.0)
 
@@ -211,6 +215,17 @@ class TestNearOrigin:
         with pytest.raises(ValueError):
             near_origin_solution(1, 0.3, 0.0, c1=1.0, c2=0.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-3, 3), st.floats(0.0, 3.0), st.integers(201, 2001))
+    def test_matches_pointwise_kummer(self, m, eps, points):
+        # the grid sums as one array; each value must equal the scalar
+        # series evaluated point by point, bit for bit
+        r = np.linspace(-0.2, 0.2, points)
+        alpha = near_origin_degree(m, eps)
+        ks = np.array([kummer_m(-alpha / 2.0, 0.5, si * si) for si in 1.5 * m + r])
+        ref = np.zeros_like(r) + 1.0 * np.exp(-1.5 * m * r) * ks
+        assert np.array_equal(near_origin_solution(m, eps, r), ref)
+
 
 class TestEnergyDependentBranch:
     def test_back_substitution(self):
@@ -234,6 +249,27 @@ class TestEnergyDependentBranch:
     def test_requires_wide_enough_mass(self):
         with pytest.raises(ValueError):
             energy_dependent_branch(1, 0)
+
+    @pytest.mark.parametrize("m, n, root", [
+        (2, 0, 0.36721542910800264),
+        (3, 5, 4.604108091336897),
+        (-5, 7, 15.074872253356894),
+        (-2, 1, 0.9999999999997529),
+        (4, 3, 8.926658712548509),
+    ])
+    def test_pinned_roots(self, m, n, root):
+        assert energy_dependent_branch(m, n)[0] == root
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]), st.integers(0, 7), st.integers(201, 4001))
+    def test_profile_matches_pointwise_pcf(self, m, n, points):
+        # the profile is D_n on the whole grid at once; against the scalar
+        # D_n point by point only np.exp and math.exp may differ
+        root, samples = energy_dependent_branch(m, n, r_count=points)
+        f = math.sqrt(-11.0 + 8.0 * m * m - 12.0 * root)
+        arg = (6.0 * m + (8.0 * m * m - 11.0 - 12.0 * root) * samples.grid.points) / f**1.5
+        ref = np.array([parabolic_cylinder_d(float(n), ai) for ai in arg])
+        assert np.all(np.abs(samples.values - ref) <= 1e-15 * np.abs(ref))
 
 
 class TestScarfParams:

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catenoid_dirac.specfun import (
     JacobiParams,
@@ -159,3 +162,86 @@ class TestParabolicCylinder:
             for z in np.linspace(-4, 4, 9):
                 ref = sp.pbdv(nu, z)[0]
                 assert abs(parabolic_cylinder_d(nu, z) - ref) < 1e-8 * max(1.0, abs(ref))
+
+
+def _grids(bound):
+    return arrays(float, st.integers(0, 40), elements=st.floats(-bound, bound))
+
+
+def _open(lo, hi):
+    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def _kummer_ab(draw):
+    b = draw(_open(0.5, 10.0))
+    a = draw(st.one_of(
+        _open(-10.0, 10.0),
+        st.integers(-9, 0).map(float),  # terminating series
+        st.integers(1, 9).map(lambda j: b + j).filter(lambda a: a < 10.0),  # b - a near -j
+    ))
+    return a, b
+
+
+class TestArrayInput:
+    """The array path sums every element with the scalar series' own
+    operations in the same order; only np.exp against math.exp may differ."""
+
+    @staticmethod
+    def _assert_matches_pointwise(got, ref, exact):
+        assert got.shape == ref.shape
+        assert np.array_equal(got[exact], ref[exact])
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kummer_ab(), _grids(50.0))
+    def test_kummer_matches_scalar_loop(self, ab, z):
+        a, b = ab
+        ref = np.array([kummer_m(a, b, float(v)) for v in z])
+        terminating = a <= 0.0 and a == int(a)
+        self._assert_matches_pointwise(kummer_m(a, b, z), ref, (z >= 0.0) | terminating)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 20).map(float), _grids(20.0))
+    def test_pcf_integer_order_matches_scalar_loop(self, nu, z):
+        ref = np.array([parabolic_cylinder_d(nu, float(v)) for v in z])
+        self._assert_matches_pointwise(parabolic_cylinder_d(nu, z), ref, np.zeros(z.shape, bool))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-20.0, 20.0), _grids(6.0))
+    def test_pcf_real_order_matches_scalar_loop(self, nu, z):
+        ref = np.array([parabolic_cylinder_d(nu, float(v)) for v in z])
+        self._assert_matches_pointwise(parabolic_cylinder_d(nu, z), ref, np.zeros(z.shape, bool))
+
+    @pytest.mark.parametrize("z", [1.5, np.float64(1.5), np.array(1.5), 2], ids=["float", "float64", "0-d", "int"])
+    def test_scalar_returns_float(self, z):
+        assert type(kummer_m(0.7, 1.3, z)) is float
+        assert type(kummer_m(0.7, 1.3, -z)) is float
+        assert type(parabolic_cylinder_d(2.0, z)) is float
+        assert type(parabolic_cylinder_d(-1.3, z)) is float
+
+    def test_shape_kept(self):
+        z = np.linspace(-4.0, 4.0, 6).reshape(2, 3)
+        assert np.array_equal(kummer_m(0.7, 1.3, z), kummer_m(0.7, 1.3, z.ravel()).reshape(2, 3))
+        assert np.array_equal(parabolic_cylinder_d(1.5, z), parabolic_cylinder_d(1.5, z.ravel()).reshape(2, 3))
+
+    def test_empty(self):
+        assert kummer_m(0.7, 1.3, np.array([])).shape == (0,)
+        assert parabolic_cylinder_d(2.0, np.array([])).shape == (0,)
+        assert parabolic_cylinder_d(-1.3, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("nu, z_max", [(2.0, 20.0), (0.5, 6.0), (-3.0, 6.0)])
+    def test_pcf_one_point_out_of_range(self, nu, z_max):
+        z = np.array([0.0, 1.0, -(z_max + 0.01), 2.0])
+        with pytest.raises(ValueError, match=rf"argument out of supported range \|z\| <= {z_max} for nu={nu}"):
+            parabolic_cylinder_d(nu, z)
+
+    @pytest.mark.parametrize("b", [0.0, -2.0])
+    def test_kummer_bad_b(self, b):
+        with pytest.raises(ValueError, match="non-positive integer"):
+            kummer_m(1.0, b, np.array([1.0, 2.0]))
+
+    def test_kummer_no_convergence_names_first_point(self):
+        # M(1, 1, z) = e^z needs more than the term budget past z of about 340
+        with pytest.raises(ArithmeticError, match=r"a=1\.0, b=1\.0, z=600\.0"):
+            kummer_m(1.0, 1.0, np.array([1.0, 600.0, 700.0]))
