@@ -15,15 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CatenoidParams
-from .numeric import Grid, WavefunctionSamples, solve_bracketed, trapezoid_norm
-from .potentials import (
-    PotentialModel,
-    ScarfVF,
-    _central_derivative,
-    _check_x,
-    _rspace_potential,
-    fermi_velocity,
-)
+from .numeric import Grid, WavefunctionSamples, solve_bracketed
+from .potentials import PotentialModel, ScarfVF, _check_x, _rspace_potential, fermi_velocity
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
 __all__ = [
@@ -50,22 +43,6 @@ __all__ = [
     "partner_eigenfunction_pdfv",
     "partner_eigenfunction_constant",
 ]
-
-# Truncated boxes (half-width in units of R, sample count) of the numeric
-# normalizations: constant-velocity forms and sec^2-velocity forms.
-BOX_CONSTANT = (40.0, 16001)
-BOX_PDFV = (60.0, 24001)
-
-
-def _box_normalized(f, u, params: CatenoidParams, lam: float | None = None):
-    """f(u) divided by the norm of f on a truncated box: BOX_CONSTANT with
-    measure du, or, given the velocity scale lam, BOX_PDFV with the weight
-    1/v_F(u)^2."""
-    half, count = BOX_CONSTANT if lam is None else BOX_PDFV
-    uu = np.linspace(-half * params.R, half * params.R, count)
-    weight = 1.0 if lam is None else _pdfv_weight(params, lam, uu)
-    return f(u) / trapezoid_norm(f(uu), uu, weight)
-
 
 @dataclass(frozen=True)
 class QuantumNumbers:
@@ -179,7 +156,6 @@ def eigenfunction_constant_case(
     qn: QuantumNumbers,
     u,
     exponent_shift: float = 1.0,
-    normalize: bool = True,
     allow_invalid: bool = False,
 ):
     """Polynomial-branch eigenfunction in the meridian coordinate.
@@ -187,16 +163,12 @@ def eigenfunction_constant_case(
     (1-t)^(a-shift) (1+t)^(b-shift) P_n^(2a,2b)(t) with t = u/sqrt(u^2+R^2).
     shift = 1 is the printed form; shift = 3/4 is the value produced by the
     full chain of variable changes (the two differ by a smooth positive
-    factor (1-t^2)^(1/4)).  Normalization is numeric over a truncated
-    domain with measure du.
+    factor (1-t^2)^(1/4)).  Unnormalized: the value at the throat u = 0 is
+    P_n^(2a,2b)(0), which is 1 for n = 0.
     """
     jp = _branch_or_regularized(qn.m, allow_invalid)
     u = np.asarray(u, dtype=float)
-
-    def raw(uu):
-        return _jacobi_profile(jp, qn.n, uu / np.sqrt(uu * uu + params.R**2), exponent_shift)
-
-    return _box_normalized(raw, u, params) if normalize else raw(u)
+    return _jacobi_profile(jp, qn.n, u / np.sqrt(u * u + params.R**2), exponent_shift)
 
 
 def _jacobi_profile(jp: JacobiBranchParams, n: int, t, shift: float):
@@ -276,11 +248,11 @@ def near_origin_solution(m: int, epsilon: float, r, c1: float = 0.0, c2: float =
     return out
 
 
-def _edp_f(m: int, eps_sq: float) -> float:
-    return math.sqrt(-11.0 + 8.0 * m * m - 12.0 * eps_sq)
+def _edp_f(m: int, eps_sq):
+    return np.sqrt(-11.0 + 8.0 * m * m - 12.0 * eps_sq)
 
 
-def _edp_condition(m: int, n: int, eps_sq: float) -> float:
+def _edp_condition(m: int, n: int, eps_sq):
     f = _edp_f(m, eps_sq)
     return f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq
 
@@ -300,24 +272,17 @@ def energy_dependent_branch(
     if top <= 0.0:
         raise ValueError("need 8m^2 > 11 for a real oscillator frequency")
 
-    def g(eps_sq: float) -> float:
+    def g(eps_sq):
         return _edp_condition(m, n, eps_sq)
 
-    # scan for a sign change, then bisect it down to 1e-12
-    lo_edge = 0.0
-    hi_edge = top * (1.0 - 1e-9)
-    samples = np.linspace(lo_edge, hi_edge, 201)
-    vals = [g(s) for s in samples]
-    root = None
-    for i in range(len(samples) - 1):
-        if vals[i] == 0.0:
-            root = samples[i]
-            break
-        if vals[i] * vals[i + 1] < 0.0:
-            root = solve_bracketed(g, samples[i], samples[i + 1], tol=1e-12)
-            break
-    if root is None:
+    # scan for the first zero or sign change, then bisect it down to 1e-12
+    samples = np.linspace(0.0, top * (1.0 - 1e-9), 201)
+    vals = g(samples)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if hits.size == 0:
         raise ValueError(f"no level in the admissible bracket for m={m}, n={n}")
+    i = hits[0]
+    root = samples[i] if vals[i] == 0.0 else solve_bracketed(g, samples[i], samples[i + 1], tol=1e-12)
     f = _edp_f(m, root)
     grid = Grid(-0.5, 0.5, r_count)
     r = grid.points
@@ -328,7 +293,7 @@ def energy_dependent_branch(
 
 def energy_dependent_residual(m: int, n: int, eps_sq: float) -> float:
     """Back-substitution residual of the quantization relation."""
-    return abs(_edp_condition(m, n, eps_sq))
+    return float(abs(_edp_condition(m, n, eps_sq)))
 
 
 def energy_dependent_potential(m: int, eps_sq: float, r):
@@ -492,18 +457,13 @@ def _pdfv_weight(params: CatenoidParams, lam: float, u):
     return 1.0 / fermi_velocity(PotentialModel(ScarfVF(lam), 0), params, u) ** 2
 
 
-def eigenfunction_pdfv(
-    params: CatenoidParams,
-    scarf: ScarfParams,
-    qn: QuantumNumbers,
-    u,
-    normalize: bool = True,
-):
+def eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):
     """Eigenfunction of the sec^2-velocity problem in the meridian coordinate.
 
     sqrt(1+u^2/R^2) (1-t)^((A-B)/2) (1+t)^((A+B)/2) P_n^(A-B-1/2,A+B-1/2)(t)
-    with t = u/sqrt(R^2+u^2); normalized with the Sturm-Liouville weight
-    1/v_F(u)^2 implied by the eigenvalue placement.
+    with t = u/sqrt(R^2+u^2), unnormalized: the value at the throat is
+    P_n(0), which is 1 for n = 0.  Its Sturm-Liouville weight is
+    1/v_F(u)^2 (_pdfv_weight).
     """
     if not scarf.valid:
         raise ValueError(f"invalid Scarf parameters: {scarf.reason}")
@@ -512,11 +472,7 @@ def eigenfunction_pdfv(
             f"Jacobi exponents ({scarf.jacobi_alpha:g}, {scarf.jacobi_beta:g}) "
             "are outside the classical range"
         )
-
-    def raw(uu):
-        return _pdfv_raw(params, scarf, qn.n, uu)
-
-    return _box_normalized(raw, u, params, scarf.lam) if normalize else raw(u)
+    return _pdfv_raw(params, scarf, qn.n, u)
 
 
 def superpotential_pdfv(scarf: ScarfParams, x):
@@ -533,45 +489,41 @@ def _check_shared_level(level: EnergyLevel, above_zero_mode: float) -> None:
         raise ValueError("the shared level coincides with the zero mode")
 
 
-def partner_eigenfunction_pdfv(
-    params: CatenoidParams,
-    scarf: ScarfParams,
-    qn: QuantumNumbers,
-    u,
-    normalize: bool = True,
-):
+def partner_eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):
     """Partner-system eigenfunction sharing the level n+1 of the first system.
 
     By shape invariance the partner eigenfunction is the first-system form
-    with A shifted to A+1; the test suite verifies it against the ladder
-    image of the level-(n+1) eigenfunction.  Rejects parameter sets where
-    the shared level would be the zero mode.
+    with A shifted to A+1, unnormalized as eigenfunction_pdfv; the test
+    suite verifies it against the ladder image of the level-(n+1)
+    eigenfunction.  Rejects parameter sets where the shared level would be
+    the zero mode.
     """
     if not scarf.valid:
         raise ValueError(f"invalid Scarf parameters: {scarf.reason}")
     _check_shared_level(energy_pdfv(params, scarf, QuantumNumbers(qn.n + 1, qn.m)),
                         (scarf.A + qn.n + 1) ** 2 - scarf.A**2)
-
-    def raw(uu):
-        return _pdfv_raw(params, scarf, qn.n, uu, a_shift=1.0)
-
-    return _box_normalized(raw, u, params, scarf.lam) if normalize else raw(u)
+    return _pdfv_raw(params, scarf, qn.n, u, a_shift=1.0)
 
 
-def partner_eigenfunction_constant(
-    params: CatenoidParams, qn: QuantumNumbers, u, normalize: bool = True
-):
+def partner_eigenfunction_constant(params: CatenoidParams, qn: QuantumNumbers, u):
     """Partner-component state: ladder image of the level-(n+1) polynomial
-    branch eigenfunction, (d/du + m/sqrt(R^2+u^2)) chi_(n+1) / sqrt(E_(n+1)).
+    branch eigenfunction chi (eigenfunction_constant_case, shift 1),
+    (d/du + m/sqrt(R^2+u^2)) chi / E_(n+1), with E_(n+1) at v_F = 1.
+
+    The derivative is exact.  With chi = (1-t)^p (1+t)^q P(t), p = a-1,
+    q = b-1, P = P_(n+1)^(2a,2b), P' = (n+2a+2b+2)/2 P_n^(2a+1,2b+1),
+    dt/du = (1-t^2)/sqrt(R^2+u^2) and W = m/sqrt(R^2+u^2), the image is
+    (1-t)^(p-1) (1+t)^(q-1) [(q(1-t) - p(1+t) + m) P + (1-t^2) P']
+    (1-t^2)/sqrt(R^2+u^2).
     """
     level = energy_constant_case(params, 1.0, QuantumNumbers(qn.n + 1, qn.m))
     _check_shared_level(level, level.value)
-
-    def chi(uu):
-        return eigenfunction_constant_case(params, QuantumNumbers(qn.n + 1, qn.m), uu, normalize=False)
-
-    def lowered(uu):
-        return _central_derivative(chi, uu) + qn.m / np.sqrt(params.R**2 + uu * uu) * chi(uu)
-
+    jp = jacobi_branch_params(qn.m)
+    al, be, p, q = 2.0 * jp.a, 2.0 * jp.b, jp.a - 1.0, jp.b - 1.0
     u = np.asarray(u, dtype=float)
-    return _box_normalized(lowered, u, params) if normalize else lowered(u) / level.value
+    root = np.sqrt(params.R**2 + u * u)
+    t, one_t2 = u / root, (params.R / root) ** 2  # 1 - t^2 without cancellation
+    pj = jacobi(JacobiParams(qn.n + 1, al, be), t)
+    dpj = 0.5 * (qn.n + al + be + 2.0) * jacobi(JacobiParams(qn.n, al + 1.0, be + 1.0), t)
+    bracket = (q * (1.0 - t) - p * (1.0 + t) + qn.m) * pj + one_t2 * dpj
+    return (1.0 - t) ** (p - 1.0) * (1.0 + t) ** (q - 1.0) * bracket * one_t2 / root / level.value

@@ -239,12 +239,10 @@ def cmd_wavefunction(args) -> int:
             raise ValueError(f"{branch.reason}; rerun with --allow-invalid")
         validity_flags.append(branch.reason)
     if pdfv:
-        vals = eigenfunction_pdfv(params, branch, qn, u, normalize=False)
+        vals = eigenfunction_pdfv(params, branch, qn, u)
         weight, weight_label = _pdfv_weight(params, args.lam, u), "1/v_F(u)^2"
     else:
-        vals = eigenfunction_constant_case(
-            params, qn, u, normalize=False, allow_invalid=args.allow_invalid
-        )
+        vals = eigenfunction_constant_case(params, qn, u, allow_invalid=args.allow_invalid)
         weight, weight_label = 1.0, "du"
     vals = vals / trapezoid_norm(vals, u, weight)
     density = vals**2
@@ -353,6 +351,7 @@ def cmd_susy_check(args) -> int:
 FIGURE_M = -2
 COMPANION_M = 3
 FIGURE_LEVELS = (1, 3)
+FIGURE_BOX = (40.0, 16001)  # half-width in units of R and samples of the density norm
 
 
 def cmd_report_figures(args) -> int:
@@ -368,13 +367,15 @@ def cmd_report_figures(args) -> int:
     out = Path(args.out)
     companion = out.with_name(out.stem + "_companion" + (out.suffix or ".csv"))
 
+    box = np.linspace(-FIGURE_BOX[0] * params.R, FIGURE_BOX[0] * params.R, FIGURE_BOX[1])
+
     def densities(m: int, allow: bool) -> list[np.ndarray]:
         cols = []
         for n in FIGURE_LEVELS:
-            chi = eigenfunction_constant_case(
-                params, QuantumNumbers(n, m), u, allow_invalid=allow
-            )
-            cols.append(chi**2)
+            qn = QuantumNumbers(n, m)
+            chi, on_box = (eigenfunction_constant_case(params, qn, x, allow_invalid=allow)
+                           for x in (u, box))
+            cols.append((chi / trapezoid_norm(on_box, box)) ** 2)
         return cols
 
     header = ["u"] + [f"density_n{n}" for n in FIGURE_LEVELS]

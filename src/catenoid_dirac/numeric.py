@@ -124,7 +124,8 @@ def _flapack():
     Loaded from its file on its own, in about 10 ms, because importing the
     scipy.linalg package to reach it costs about 0.4 s.  The module is put in
     sys.modules, so it is loaded once per process and shared with scipy.linalg
-    if that is imported too.
+    if that is imported too; _BindFlapack then makes it that package's
+    attribute ``_flapack``.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -145,7 +146,30 @@ def _flapack():
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    sys.meta_path.insert(0, _BindFlapack)
     return module
+
+
+class _BindFlapack:
+    """Import hook that _flapack() leaves in sys.meta_path until scipy.linalg
+    is imported.  An import binds a new submodule as an attribute of its
+    package, but one found in sys.modules is not bound, so scipy.linalg would
+    lack ``_flapack``.  The hook binds it before the package's code runs."""
+
+    @staticmethod
+    def find_spec(fullname, path=None, target=None):
+        if fullname != "scipy.linalg":
+            return None
+        sys.meta_path.remove(_BindFlapack)
+        spec = importlib.util.find_spec(fullname)
+        run_package = spec.loader.exec_module
+
+        def exec_module(module):
+            module._flapack = sys.modules["scipy.linalg._flapack"]
+            run_package(module)
+
+        spec.loader.exec_module = exec_module
+        return spec
 
 
 def _check_info(info: int, routine: str) -> None:

@@ -118,12 +118,6 @@ def _constant_velocity_potential(m_eff: int, params: CatenoidParams, u):
     return m_eff**2 / g + m_eff * u / g**1.5
 
 
-def _central_derivative(f: Callable, u: np.ndarray):
-    """5-point central difference of a callable with step h = 1e-6*(1+|u|)."""
-    h = 1e-6 * (1.0 + np.abs(u))
-    return (-f(u + 2 * h) + 8 * f(u + h) - 8 * f(u - h) + f(u - 2 * h)) / (12 * h)
-
-
 def partner_potentials_from_W(W: Callable, u, dW: Callable):
     """Partner pair (W^2 - W', W^2 + W') from a superpotential W and its
     derivative dW."""

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,13 +127,17 @@ class TestEnergyConstantCase:
 
 class TestEigenfunctionConstantCase:
     def test_value_at_throat(self):
-        raw = eigenfunction_constant_case(R1, QuantumNumbers(0, 3), 0.0, normalize=False)
+        raw = eigenfunction_constant_case(R1, QuantumNumbers(0, 3), 0.0)
         assert abs(raw - 1.0) < 1e-14
 
-    def test_normalization(self):
-        u = np.linspace(-40, 40, 16001)
-        chi = eigenfunction_constant_case(R1, QuantumNumbers(1, 3), u)
-        assert abs(np.trapezoid(chi * chi, u) - 1.0) < 1e-8
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+    def test_raw_scale(self, R):
+        # unnormalized: chi_1(0) = P_1^(2a,2b)(0) = a - b, whatever the grid
+        jp = jacobi_branch_params(3)
+        u = np.array([-3.0 * R, 0.0, 5.0 * R])
+        chi = eigenfunction_constant_case(CatenoidParams(R), QuantumNumbers(1, 3), u)
+        assert abs(chi[1] - (jp.a - jp.b)) < 1e-14
+        assert chi[0] == eigenfunction_constant_case(CatenoidParams(R), QuantumNumbers(1, 3), u[0])
 
     def test_rspace_residual(self):
         # the compact-coordinate form solves its Sturm-Liouville equation
@@ -156,10 +161,8 @@ class TestEigenfunctionConstantCase:
 
     def test_exponent_variants_differ_by_smooth_factor(self):
         u = np.linspace(-3, 3, 301)
-        a_form = eigenfunction_constant_case(R1, QuantumNumbers(1, 3), u, normalize=False)
-        b_form = eigenfunction_constant_case(
-            R1, QuantumNumbers(1, 3), u, exponent_shift=0.75, normalize=False
-        )
+        a_form = eigenfunction_constant_case(R1, QuantumNumbers(1, 3), u)
+        b_form = eigenfunction_constant_case(R1, QuantumNumbers(1, 3), u, exponent_shift=0.75)
         t = u / np.sqrt(1 + u * u)
         factor = (1 - t * t) ** 0.25
         assert np.max(np.abs(b_form - a_form * factor)) < 1e-12
@@ -351,14 +354,14 @@ class TestEigenfunctionPdfv:
         self.s = scarf_params_physical(R1, 2, 1.0)
 
     def test_value_at_throat(self):
-        raw = eigenfunction_pdfv(R1, self.s, QuantumNumbers(0, 2), 0.0, normalize=False)
+        raw = eigenfunction_pdfv(R1, self.s, QuantumNumbers(0, 2), 0.0)
         assert abs(raw - 1.0) < 1e-14
 
-    def test_weighted_normalization(self):
-        u = np.linspace(-60, 60, 24001)
-        chi = eigenfunction_pdfv(R1, self.s, QuantumNumbers(1, 2), u)
-        w = 1.0 / (1.0 + u * u) ** 2
-        assert abs(np.trapezoid(w * chi * chi, u) - 1.0) < 1e-8
+    def test_raw_scale(self):
+        # unnormalized: chi_1(0) = P_1^(A-B-1/2,A+B-1/2)(0) = -B
+        chi = eigenfunction_pdfv(R1, self.s, QuantumNumbers(1, 2), np.array([-2.0, 0.0, 7.0]))
+        assert abs(chi[1] + self.s.B) < 1e-14
+        assert chi[2] == eigenfunction_pdfv(R1, self.s, QuantumNumbers(1, 2), 7.0)
 
     def test_finite_far_out(self):
         vals = eigenfunction_pdfv(R1, self.s, QuantumNumbers(2, 2), np.array([-500.0, 500.0]))
@@ -403,16 +406,14 @@ class TestPartnerPdfv:
         x = g.points
         u = np.tan(x)  # R = 1: sin x = u/sqrt(1+u^2) holds for u = tan x
         sec = 1.0 / np.cos(x)
-        part = partner_eigenfunction_pdfv(R1, self.s, QuantumNumbers(0, 2), u, normalize=False) / sec
-        chi1 = eigenfunction_pdfv(R1, self.s, QuantumNumbers(1, 2), u, normalize=False) / sec
+        part = partner_eigenfunction_pdfv(R1, self.s, QuantumNumbers(0, 2), u) / sec
+        chi1 = eigenfunction_pdfv(R1, self.s, QuantumNumbers(1, 2), u) / sec
         ladder = first_derivative(chi1, g.h) + (A * np.tan(x) - B * sec) * chi1
         overlap = np.sum(part * ladder) / math.sqrt(np.sum(part**2) * np.sum(ladder**2))
         assert abs(overlap) > 0.999
 
     def test_finite_at_ends(self):
-        vals = partner_eigenfunction_pdfv(
-            R1, self.s, QuantumNumbers(0, 2), np.array([-1e4, 1e4]), normalize=False
-        )
+        vals = partner_eigenfunction_pdfv(R1, self.s, QuantumNumbers(0, 2), np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(vals))
 
     def test_invalid_scarf_rejected(self):
@@ -421,11 +422,65 @@ class TestPartnerPdfv:
             partner_eigenfunction_pdfv(R1, bad, QuantumNumbers(0, 2), 0.0)
 
 
+def _mp_jacobi(n, alpha, beta, x):
+    """P_n^(alpha,beta)(x) from its explicit finite sum, in mpmath."""
+    return mpmath.fsum(
+        mpmath.binomial(n + alpha, n - s) * mpmath.binomial(n + beta, s)
+        * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (n - s)
+        for s in range(n + 1)
+    )
+
+
+def _mp_partner_constant(R, m, n, u):
+    """(d/du + m/sqrt(R^2+u^2)) chi_(n+1) / E_(n+1) at v_F = 1, with
+    mpmath.diff for the derivative and the energy from its radicand."""
+    a = mpmath.sqrt(7 + 12 * m + 4 * m * m) / 4
+    b = mpmath.sqrt(7 - 12 * m + 4 * m * m) / 4
+    R, k = mpmath.mpf(R), n + 1
+
+    def chi(x):
+        t = x / mpmath.sqrt(x * x + R * R)
+        return (1 - t) ** (a - 1) * (1 + t) ** (b - 1) * _mp_jacobi(k, 2 * a, 2 * b, t)
+
+    s = 4 * a + 4 * b
+    rad = -27 + 4 * m * m + 2 * s + 16 * a * b + 8 * k * k + 8 * k + 4 * k * s
+    energy = mpmath.sqrt(rad) / (2 * mpmath.sqrt(2) * R)
+    u = mpmath.mpf(u)
+    return (mpmath.diff(chi, u) + m / mpmath.sqrt(R * R + u * u) * chi(u)) / energy
+
+
+# the m with real Jacobi exponents up to |m| = 5; every other m has a complex one
+PARTNER_M = [-5, -4, -3, 0, 3, 4, 5]
+
+
 class TestPartnerConstant:
-    def test_normalized(self):
-        u = np.linspace(-40, 40, 16001)
-        chi2 = partner_eigenfunction_constant(R1, QuantumNumbers(0, 3), u)
-        assert abs(np.trapezoid(chi2 * chi2, u) - 1.0) < 1e-6
+    @pytest.mark.parametrize("m", PARTNER_M)
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_mpmath_ladder_image(self, m, n):
+        R = [0.5, 0.8, 1.3, 2.0][(m + n) % 4]
+        u = np.concatenate([np.linspace(-10.0 * R, 10.0 * R, 21), [-0.37 * R, 0.61 * R]])
+        got = partner_eigenfunction_constant(CatenoidParams(R), QuantumNumbers(n, m), u)
+        with mpmath.workdps(30):
+            ref = np.array([float(_mp_partner_constant(R, m, n, v)) for v in u])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_is_ladder_image_over_energy(self):
+        # the raw scale: (chi' + W chi)/E_(n+1) with chi and E from the library
+        g = Grid(-4.0, 4.0, 8001)
+        chi = eigenfunction_constant_case(R1, QuantumNumbers(2, 3), g.points)
+        e2 = energy_constant_case(R1, 1.0, QuantumNumbers(2, 3)).value
+        image = (first_derivative(chi, g.h) + 3.0 / np.sqrt(1.0 + g.points**2) * chi) / e2
+        got = partner_eigenfunction_constant(R1, QuantumNumbers(1, 3), g.points)
+        assert np.max(np.abs(got - image)) < 1e-10 * np.max(np.abs(image))
+
+    @pytest.mark.parametrize("m", PARTNER_M)
+    def test_finite_far_out(self, m):
+        for R in (0.5, 2.0):
+            for n in range(5):
+                vals = partner_eigenfunction_constant(
+                    CatenoidParams(R), QuantumNumbers(n, m), np.array([-500.0, 500.0])
+                )
+                assert np.all(np.isfinite(vals))
 
     def test_invalid_level_rejected(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,27 @@ class TestReportFigures:
         assert maxima1 == 2
         assert maxima3 == 4
 
+    def test_densities_normalized_over_40R_box(self, tmp_path):
+        # each density is chi^2 / int chi^2 du, the integral by the trapezoid
+        # rule over 16001 points on [-40R, 40R], whatever the emitted grid
+        from catenoid_dirac.analytic import QuantumNumbers, eigenfunction_constant_case
+        from catenoid_dirac.geometry import CatenoidParams
+
+        out = tmp_path / "fig.csv"
+        main(["report-figures", "--allow-invalid", "--R", "1.5", "--umin", "-12",
+              "--umax", "7", "--samples", "301", "--out", str(out)])
+        params = CatenoidParams(1.5)
+        box = np.linspace(-60.0, 60.0, 16001)
+        for path, m in ((out, -2), (tmp_path / "fig_companion.csv", 3)):
+            _, data = read_csv(path)
+            for col, n in ((1, 1), (2, 3)):
+                def chi(u):
+                    return eigenfunction_constant_case(params, QuantumNumbers(n, m), u,
+                                                       allow_invalid=True)
+
+                norm = math.sqrt(np.trapezoid(chi(box) ** 2, box))
+                assert np.array_equal(data[:, col], (chi(data[:, 0]) / norm) ** 2)
+
 
 # options that were accepted but never read by their subcommand
 UNREAD_OPTIONS = [

@@ -1,6 +1,9 @@
 import importlib.machinery
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +188,22 @@ class TestFlapack:
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
         with pytest.raises(ImportError, match=f"scipy {version('scipy')} has no compiled extension"):
             numeric._flapack()
+
+    def test_scipy_linalg_imported_later_binds_loaded_extension(self):
+        # a later import of scipy.linalg shares the module _flapack() loaded
+        # and has it as its attribute, as after a plain submodule import
+        code = (
+            "import sys; from catenoid_dirac import numeric; lapack = numeric._flapack(); "
+            "import scipy.linalg, scipy.linalg.lapack; "
+            "print(scipy.linalg._flapack is lapack, scipy.linalg.lapack._flapack is lapack, "
+            f"sys.modules[{self.NAME!r}] is lapack)"
+        )
+        src = str(Path(numeric.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["True", "True", "True"]
 
     def test_lapack_error_raises(self, monkeypatch):
         failing = SimpleNamespace(dstebz=lambda *args: (0, np.zeros(3), None, None, -3))
