@@ -3,7 +3,10 @@
 Every data file gets a JSON manifest sidecar at <out>.manifest.json with
 the tool version, full parameter echo, truncation metadata, and any
 validity flags raised during the run.  CSV uses 17 significant digits so
-files round-trip bit-exactly.
+files round-trip bit-exactly.  A table of two or more CSV_BLOCK_ROWS blocks
+is formatted in two processes: a stdlib-only child interpreter formats the
+later half of the rows while this process formats the earlier half, and the
+file holds the same bytes as from one process.
 """
 
 from __future__ import annotations
@@ -11,12 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _csv_rows
+from ._csv_rows import CSV_BLOCK_ROWS, csv_blocks
 from .analytic import (
     QuantumNumbers,
     _pdfv_weight,
@@ -61,28 +66,61 @@ from .susy import (
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
 SPECTRUM_POINTS = 4001  # grid of the numeric spectrum levels
-CSV_BLOCK_ROWS = 8192  # rows formatted per % call: bounds the temporary strings
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
     """Header line, then one "%.17g" row per sample, comma-separated.
 
-    Formats a block of rows in one % call: the same bytes as np.savetxt,
-    without its per-row Python loop.  Returns one validity flag per column
-    with non-finite cells, naming its count and the first value of the
-    first column (u) at which one occurs.
+    ``_csv_rows.csv_blocks`` formats CSV_BLOCK_ROWS rows per % call: the
+    same bytes as np.savetxt, without its per-row Python loop.  A table of
+    two or more blocks is split at the block boundary below its middle (see
+    ``_write_split``); a smaller one never starts a process.  Returns one
+    validity flag per column with non-finite cells, naming its count and
+    the first value of the first column (u) at which one occurs.
     """
-    table = np.column_stack(columns)
-    row_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    table = np.column_stack(columns).astype(float, copy=False)
+    split = CSV_BLOCK_ROWS * (len(table) // (2 * CSV_BLOCK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), CSV_BLOCK_ROWS):
-            block = table[start:start + CSV_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        if split:
+            _write_split(fh, table, split)
+        else:
+            fh.writelines(csv_blocks(table.ravel(), table.shape[1]))
     bad = ~np.isfinite(table)
     return [f"{name}: {count} of {len(table)} cells are not finite, the first at u = "
             f"{table[col.argmax(), 0]:g}"
             for name, col, count in zip(header, bad.T, bad.sum(axis=0)) if count]
+
+
+def _write_split(fh, table: np.ndarray, split: int) -> None:
+    """Rows table[:split] formatted here, table[split:] by a child interpreter.
+
+    The child runs ``_csv_rows`` with ``-I -S`` (no site, no user paths) and
+    formats on another core while this process formats its own rows; its
+    text is then copied after them.  A child that exits non-zero raises
+    OSError.  The child is reaped before return, also when this raises.
+    """
+    import subprocess  # about 6 ms of import that a table under two blocks never needs
+
+    ncols = table.shape[1]
+    proc = subprocess.Popen([sys.executable, "-I", "-S", _csv_rows.__file__, str(ncols)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    try:
+        try:
+            with proc.stdin:
+                proc.stdin.write(table[split:])  # C-contiguous rows of native float64
+        except BrokenPipeError:
+            pass  # the child exited early; its status says why
+        fh.writelines(csv_blocks(table[:split].ravel(), ncols))
+        fh.flush()
+        shutil.copyfileobj(proc.stdout, fh.buffer)
+        status = proc.wait()
+    finally:
+        proc.kill()  # no-op once the child is reaped
+        proc.wait()
+        proc.stdout.close()
+    if status:
+        raise OSError(f"the CSV formatter child {sys.executable} exited with status {status}")
 
 
 def _json_default(obj):

@@ -60,6 +60,8 @@ def jacobi(p: JacobiParams, x):
     p0 = np.ones_like(x)
     if n == 0:
         return p0
+    if min(a, b) < -0.5:
+        return _jacobi_near_minus_one(n, a, b, x)
     p1 = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
     for k in range(2, n + 1):
         c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
@@ -70,14 +72,43 @@ def jacobi(p: JacobiParams, x):
     return p1
 
 
+def _jacobi_near_minus_one(n: int, a: float, b: float, x: np.ndarray):
+    """The recurrence of jacobi with every coefficient built from alpha + 1
+    and beta + 1, for an alpha or beta below -1/2, where p + 1 is exact
+    (Sterbenz).
+
+    A sum such as k + alpha + beta - 1 formed from alpha and beta is off by
+    about the unit roundoff, which its nearness to zero amplifies: at
+    alpha = -1 + 1.6e-12, beta = -1 + 1.5e-12 such sums give P_6(-1) as
+    1.7e-4 instead of 2.5e-13.
+    """
+    p0 = np.ones_like(x)
+    a1, b1 = a + 1.0, b + 1.0
+    s = a1 + b1  # alpha + beta + 2
+    p1 = a1 + s * (x - 1.0) / 2.0
+    for k in range(2, n + 1):
+        j = k - 2.0
+        c1 = 2.0 * k * (j + s) * (2.0 * j + s)
+        c2 = (2.0 * j + s + 1.0) * (a - b) * (a + b)
+        c3 = (2.0 * j + s + 1.0) * (2.0 * j + s + 2.0) * (2.0 * j + s)
+        c4 = 2.0 * (j + a1) * (j + b1) * (2.0 * j + s + 2.0)
+        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
+    return p1
+
+
 def kummer_m(a: float, b: float, z):
     """Confluent hypergeometric M(a, b, z) by direct series summation,
     after Kummer's transformation for z < 0.
 
     The series terminates for non-positive integer a; otherwise summation
-    stops when terms fall below 1e-17 of the partial sum.  A scalar z
-    returns a float; an array z is summed in one loop over the elements
-    that have not yet converged and returns an array of its shape.
+    stops at a term below 1e-17 of the partial sum that no later term
+    exceeds.  Term j + 1 over term j is (a + j) z / ((b + j)(j + 1)), and
+    for j > k, |a + j| / (b + j) is at most max(1, |a + k + 1| / c) with
+    c = b + k + 1 > 0, so no term after the one added at step k grows when
+    |z| max(c, |a + k + 1|) < c (k + 2).  A tiny term can come before
+    growing ones: M(1e-20, 1, 50) = 2.0586, not the 1.0 of its first term.
+    A scalar z returns a float; an array z is summed in one loop over the
+    elements that have not yet converged and returns an array of its shape.
     """
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
@@ -114,7 +145,9 @@ def _kummer_scalar(a: float, b: float, z: float) -> float:
         if terminating and a + k == 0.0:
             return total
         if abs(term) < 1e-17 * abs(total):
-            return total
+            c = b + k + 1.0
+            if abs(z) * max(c, abs(a + k + 1.0)) < c * (k + 2.0):  # see kummer_m
+                return total
     raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z}")
 
 
@@ -126,10 +159,17 @@ def _kummer_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
     idx = np.arange(z.size)
     term = np.ones_like(z)
     total = np.ones_like(z)
+    z_max = np.abs(z).max(initial=0.0)
     for k in range(_KUMMER_MAX_TERMS):
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        done = (terminating and a + k == 0.0) | (np.abs(term) < 1e-17 * np.abs(total))
+        done = np.abs(term) < 1e-17 * np.abs(total)
+        c = b + k + 1.0
+        growth = max(c, abs(a + k + 1.0))
+        if z_max * growth >= c * (k + 2.0):  # some terms may still grow: see kummer_m
+            done &= np.abs(z) * growth < c * (k + 2.0)
+        if terminating and a + k == 0.0:
+            done[:] = True
         out[idx[done]] = total[done]
         keep = ~done
         idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]

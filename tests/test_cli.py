@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import catenoid_dirac
+from catenoid_dirac import cli
 from catenoid_dirac.cli import (
     CSV_BLOCK_ROWS,
     SPECTRUM_POINTS,
@@ -352,11 +353,17 @@ CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-3
 
 @pytest.mark.parametrize("ncols", [1, 3, 5])
 @pytest.mark.parametrize("rows", [1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                  20001])
+                                  20001, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS,
+                                  2 * CSV_BLOCK_ROWS + 1, 100001])
 def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     rng = np.random.default_rng(rows * 10 + ncols)
     flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
     flat[::3] = np.resize(CSV_VALUES, flat[::3].size)
+    # from two blocks on, the rows after the split go to the child: every
+    # special value lands on both sides of it
+    split = CSV_BLOCK_ROWS * (rows // (2 * CSV_BLOCK_ROWS)) * ncols
+    for side in (flat[:split], flat[split:]) if split else ():
+        assert {repr(v) for v in side.tolist()} >= {repr(v) for v in CSV_VALUES}
     cols = list(flat.reshape(rows, ncols).T)
     header = [f"c{j}" for j in range(ncols)]
     out, oracle = tmp_path / "out.csv", tmp_path / "oracle.csv"
@@ -365,6 +372,56 @@ def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
         np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="")
     assert out.read_bytes() == oracle.read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_write_csv_under_two_blocks_starts_no_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    u = np.arange(2.0 * CSV_BLOCK_ROWS - 1)
+    _write_csv(tmp_path / "out.csv", ["u"], [u])
+
+
+@pytest.fixture
+def failing_interpreter(tmp_path, monkeypatch):
+    """sys.executable pointed at a program that exits with status 3."""
+    exe = tmp_path / "failing-python"
+    exe.write_text("#!/bin/sh\nexit 3\n")
+    exe.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(exe))
+
+
+@pytest.mark.usefixtures("failing_interpreter")
+def test_write_csv_child_failure_raises(tmp_path):
+    u = np.arange(2.0 * CSV_BLOCK_ROWS)
+    with pytest.raises(OSError, match="exited with status 3"):
+        _write_csv(tmp_path / "out.csv", ["u"], [u])
+    _assert_no_child_left()
+
+
+@pytest.mark.usefixtures("failing_interpreter")
+def test_main_reports_child_failure(tmp_path, capsys):
+    argv = ["potentials", "--samples", str(2 * CSV_BLOCK_ROWS), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 1
+    assert "exited with status 3" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+def test_write_csv_reaps_child_when_parent_raises(tmp_path, monkeypatch):
+    def broken(values, ncols):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "csv_blocks", broken)
+    u = np.arange(2.0 * CSV_BLOCK_ROWS)
+    with pytest.raises(KeyboardInterrupt):
+        _write_csv(tmp_path / "out.csv", ["u"], [u])
+    _assert_no_child_left()
 
 
 def test_write_csv_flags_non_finite_columns(tmp_path):

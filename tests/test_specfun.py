@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -168,17 +169,13 @@ def _grids(bound):
     return arrays(float, st.integers(0, 40), elements=st.floats(-bound, bound))
 
 
-def _open(lo, hi):
-    return st.floats(lo, hi, exclude_min=True, exclude_max=True)
-
-
 @st.composite
 def _kummer_ab(draw):
-    b = draw(_open(0.5, 10.0))
+    b = draw(st.floats(0.5, 10.0))
     a = draw(st.one_of(
-        _open(-10.0, 10.0),
-        st.integers(-9, 0).map(float),  # terminating series
-        st.integers(1, 9).map(lambda j: b + j).filter(lambda a: a < 10.0),  # b - a near -j
+        st.floats(-10.0, 10.0),
+        st.integers(-10, 0).map(float),  # terminating series
+        st.integers(0, 9).map(lambda j: b + j).filter(lambda a: a <= 10.0),  # b - a near -j
     ))
     return a, b
 
@@ -245,3 +242,126 @@ class TestArrayInput:
         # M(1, 1, z) = e^z needs more than the term budget past z of about 340
         with pytest.raises(ArithmeticError, match=r"a=1\.0, b=1\.0, z=600\.0"):
             kummer_m(1.0, 1.0, np.array([1.0, 600.0, 700.0]))
+
+
+# -- against mpmath ---------------------------------------------------------
+
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _jacobi_terms(n, a, b, x):
+    """The n + 1 terms of the explicit sum of P_n^(a,b)(x), DLMF 18.5.8."""
+    return [mpmath.binomial(n + a, n - s) * mpmath.binomial(n + b, s)
+            * ((x - 1) / 2) ** s * ((x + 1) / 2) ** (n - s) for s in range(n + 1)]
+
+
+def _jacobi_mp(n, a, b, x):
+    return mpmath.fsum(_jacobi_terms(n, a, b, x))
+
+
+def _kummer_summed(a, b, z):
+    """Number of terms and sum of their moduli of the series kummer_m sums:
+    after Kummer's transformation for z < 0 unless a is a non-positive
+    integer, up to the last term or the first term below 1e-17 of the
+    partial sum that no later term exceeds."""
+    terminating = a <= 0 and a == int(a)
+    scale = mpmath.mpf(1)
+    if z < 0 and not terminating:
+        scale, a, z = mpmath.exp(z), b - a, -z
+    a, b, z = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
+    terms, totals = [mpmath.mpf(1)], [mpmath.mpf(1)]
+    for k in range(500):
+        terms.append(terms[-1] * (a + k) * z / ((b + k) * (k + 1)))
+        totals.append(totals[-1] + terms[-1])
+        if terminating and a + k == 0:
+            break
+    later, top = [], 0  # later[k]: the largest modulus after term k
+    for t in reversed(terms):
+        later.append(top)
+        top = max(top, abs(t))
+    later.reverse()
+    stop = next((k for k in range(1, len(terms)) if abs(terms[k]) < 1e-17 * abs(totals[k])
+                 and abs(terms[k]) >= later[k]), len(terms) - 1)
+    return stop, scale * mpmath.fsum(abs(t) for t in terms[:stop + 1])
+
+
+def _hyp1f1(a, b, z):
+    # zeroprec: M(-1, 1, 1) = 0 is returned instead of raising
+    return mpmath.hyp1f1(a, b, z, zeroprec=400)
+
+
+class TestAgainstMpmath:
+    """Property tests of jacobi, hermite and kummer_m over their whole
+    argument ranges, with mpmath at 40 digits as the oracle.
+
+    Each tolerance is a rounding-error bound, not a fit to today's output.
+    A method that sums N terms or runs N recurrence steps, rounding at most
+    c times in each, returns the exact value for terms and arguments each
+    perturbed by at most c (N + 1) u relative (u = 2^-53).  So its error is
+    at most c (N + 1) u (S + sum over the arguments p of |p df/dp|), where
+    S, the sum of the moduli of the terms, measures the cancellation of the
+    sum (S = |f| when no term cancels another), and |p df/dp| the
+    cancellation that a relative change of p causes, as in alpha + 1 near
+    alpha = -1 or in b - a near a negative integer.
+    - Jacobi: S over the explicit sum of DLMF 18.5.8, N = n; a step of the
+      three-term recurrence rounds about ten times (c = 10).  dP/dx is
+      (n + alpha + beta + 1)/2 P_(n-1)^(alpha+1,beta+1); the parameter
+      derivatives are mpmath.diff of the explicit sum.
+    - Hermite: S over the explicit sum of DLMF 18.5.13, which is |H_n(i|x|)|,
+      N = n; a step 2x h1 - 2k h0 rounds three times (c = 4).
+      dH/dx = 2n H_(n-1).
+    - Kummer: S over the terms kummer_m sums, times e^z after Kummer's
+      transformation; N of them, each the last times a ratio that rounds
+      five times, plus one rounding of the partial sum and one of e^z
+      (c = 8).  dM/dz = a/b M(a + 1, b + 1, z); the parameter derivatives
+      are mpmath.diff of mpmath.hyp1f1.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 20), st.floats(-1.0, 10.0, exclude_min=True),
+           st.floats(-1.0, 10.0, exclude_min=True), st.floats(-1.0, 1.0))
+    @example(6, -0.9999999999983713, -0.9999999999984814, -1.0)  # once 1.7e-4, not 2.5e-13
+    def test_jacobi(self, n, alpha, beta, x):
+        got = float(jacobi(JacobiParams(n, alpha, beta), x))
+        with mpmath.workdps(40):
+            a, b, t = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(x)
+            ref = _jacobi_mp(n, a, b, t)
+            moduli = mpmath.fsum(abs(v) for v in _jacobi_terms(n, a, b, t))
+            dx = (n + a + b + 1) / 2 * _jacobi_mp(n - 1, a + 1, b + 1, t) if n else 0
+            da = mpmath.diff(lambda p: _jacobi_mp(n, p, b, t), a)
+            db = mpmath.diff(lambda p: _jacobi_mp(n, a, p, t), b)
+            bound = 10 * (n + 1) * U * (moduli + abs(t * dx) + abs(a * da) + abs(b * db))
+            assert abs(got - ref) <= bound
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 30), st.floats(-10.0, 10.0))
+    def test_hermite(self, n, x):
+        got = float(hermite(n, x))
+        with mpmath.workdps(40):
+            t = mpmath.mpf(x)
+            moduli = abs(mpmath.hermite(n, 1j * abs(t)))
+            dx = 2 * n * mpmath.hermite(n - 1, t) if n else 0
+            assert abs(got - mpmath.hermite(n, t)) <= 4 * (n + 1) * U * (moduli + abs(t * dx))
+
+    @staticmethod
+    def _assert_kummer_close(a, b, z, got):
+        with mpmath.workdps(40):
+            terms, moduli = _kummer_summed(a, b, z)
+            ref = _hyp1f1(a, b, z)
+            cond = (abs(a * mpmath.diff(lambda p: _hyp1f1(p, b, z), a))
+                    + abs(b * mpmath.diff(lambda p: _hyp1f1(a, p, z), b))
+                    + abs(z * a / b * _hyp1f1(a + 1, b + 1, z)))
+            assert abs(got - ref) <= 8 * (terms + 1) * U * (moduli + cond), (a, b, z)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kummer_ab(), st.floats(-50.0, 50.0))
+    @example((1e-20, 1.0), 50.0)  # once stopped at the tiny first term: 1.0, not 2.0586
+    def test_kummer_scalar(self, ab, z):
+        self._assert_kummer_close(*ab, z, kummer_m(*ab, z))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_kummer_ab(), arrays(float, st.integers(1, 4), elements=st.floats(-50.0, 50.0)))
+    @example((1e-20, 1.0), np.array([1.0, 50.0]))
+    def test_kummer_array(self, ab, z):
+        for v, got in zip(z.tolist(), kummer_m(*ab, z).tolist()):
+            self._assert_kummer_close(*ab, v, got)
