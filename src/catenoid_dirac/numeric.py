@@ -1,19 +1,22 @@
 """Independent verification engine.
 
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
-eigensolver (LAPACK, through scipy's compiled extension), ODE residual
-evaluation, the trapezoid norm, node and maxima counting, and bracketed root
-finding.  Everything here is oblivious
-to the closed-form results it is used to check.
+eigensolver, ODE residual evaluation, the trapezoid norm, node and maxima
+counting, and bracketed root finding.  Everything here is oblivious to the
+closed-form results it is used to check.
+
+The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
+``dlaebz``) and inverse iteration (``dstein``), called through ctypes from
+the LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links
+(module ``_lapack``, imported on the first eigensolve); no scipy module is
+imported.  ``eigen_tridiagonal`` splits the bisection over two threads and
+returns the levels of one ``dstebz`` call bit for bit; the split pays only
+when a second core is free.
 """
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -89,9 +92,10 @@ class SpectrumResult:
     """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
 
     ``eigenvectors`` (shape (count, k)) is solved for the first time it is
-    read, from the stored operator: LAPACK ``dstebz`` (block order) gives the
-    levels, ``dstein`` the vectors by inverse iteration, and the columns are
-    sorted by level and normalized so that sum(f**2) * h = 1 (h = 1 without a
+    read, from the stored operator, on the calling thread: LAPACK ``dstebz``
+    (levels 1..k in block order) gives the levels, ``dstein`` the vectors by
+    inverse iteration (``_lapack.eigenvectors``), and the columns are sorted
+    by level and normalized so that sum(f**2) * h = 1 (h = 1 without a
     grid).  Later reads return the same array.
     """
 
@@ -105,76 +109,11 @@ class SpectrumResult:
         if len(d) == 1:
             vecs = np.ones((1, 1))
         else:
-            lapack = _flapack()
-            m, w, iblock, isplit, info = lapack.dstebz(
-                d, e, 2, 0.0, 1.0, 1, len(self.eigenvalues), 0.0, "B"
-            )
-            _check_info(info, "dstebz")
-            w = w[:m]
-            vecs, info = lapack.dstein(d, e, w, iblock, isplit)
-            _check_info(info, "dstein")
-            vecs = vecs[:, np.argsort(w)]
+            from . import _lapack
+
+            vecs = _lapack.eigenvectors(d, e, len(self.eigenvalues))
         h = self.grid.h if self.grid is not None else 1.0
         return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
-
-
-def _flapack():
-    """scipy's compiled LAPACK extension ``scipy/linalg/_flapack``.
-
-    Loaded from its file on its own, in about 10 ms, because importing the
-    scipy.linalg package to reach it costs about 0.4 s.  The module is put in
-    sys.modules, so it is loaded once per process and shared with scipy.linalg
-    if that is imported too; _BindFlapack then makes it that package's
-    attribute ``_flapack``.
-    """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ImportError("the eigensolver needs scipy, which is not installed")
-    folder = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        from importlib.metadata import version
-
-        raise ImportError(f"scipy {version('scipy')} has no compiled extension {name} in {folder}")
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    sys.meta_path.insert(0, _BindFlapack)
-    return module
-
-
-class _BindFlapack:
-    """Import hook that _flapack() leaves in sys.meta_path until scipy.linalg
-    is imported.  An import binds a new submodule as an attribute of its
-    package, but one found in sys.modules is not bound, so scipy.linalg would
-    lack ``_flapack``.  The hook binds it before the package's code runs."""
-
-    @staticmethod
-    def find_spec(fullname, path=None, target=None):
-        if fullname != "scipy.linalg":
-            return None
-        sys.meta_path.remove(_BindFlapack)
-        spec = importlib.util.find_spec(fullname)
-        run_package = spec.loader.exec_module
-
-        def exec_module(module):
-            module._flapack = sys.modules["scipy.linalg._flapack"]
-            run_package(module)
-
-        spec.loader.exec_module = exec_module
-        return spec
-
-
-def _check_info(info: int, routine: str) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
 
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -208,9 +147,14 @@ def eigen_tridiagonal(
 ) -> SpectrumResult:
     """Lowest k eigenvalues by Sturm-sequence bisection (LAPACK ``dstebz``).
 
-    The entries of op must be finite and k an integer in [1, len(op.diagonal)].
-    Eigenvectors are solved for only when the result's ``eigenvectors`` is
-    first read (see SpectrumResult).
+    The levels are bit for bit those of one ``dstebz`` call for levels 1..k
+    with tolerance 0, the call ``scipy.linalg.eigh_tridiagonal(d, e,
+    eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  That
+    call's work is split over two threads (``_lapack.lowest_levels``), which
+    saves time only when a second core is free; on one core it takes a
+    little longer than the one call.  The entries of op must be finite and k an integer in
+    [1, len(op.diagonal)].  Eigenvectors are solved for only when the
+    result's ``eigenvectors`` is first read (see SpectrumResult).
     """
     d, e = op.diagonal, op.offdiagonal
     n = len(d)
@@ -223,11 +167,9 @@ def eigen_tridiagonal(
     if n == 1:
         vals = np.array(d, dtype=float)
     else:
-        # the call scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True,
-        # select="i", select_range=(0, k - 1)) makes: levels 1..k, tol 0
-        m, w, _, _, info = _flapack().dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E")
-        _check_info(info, "dstebz")
-        vals = w[:m]
+        from . import _lapack
+
+        vals = _lapack.lowest_levels(d, e, int(k))
     return SpectrumResult(eigenvalues=vals, grid=grid, operator=op)
 
 
@@ -309,7 +251,12 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
 
 
 def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bisection; requires a sign change on [lo, hi] and finite g."""
+    """Plain bisection; requires a sign change on [lo, hi] and finite g.
+
+    Stops when the bracket is no wider than tol, or when no float lies
+    between its ends (the midpoint equals an end), which a tol below the
+    float spacing of the bracket reaches first.
+    """
 
     def finite_g(x: float) -> float:
         gx = g(x)
@@ -326,6 +273,8 @@ def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> fl
         raise ValueError("no sign change on the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         gm = finite_g(mid)
         if gm == 0.0:
             return mid

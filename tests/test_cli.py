@@ -495,35 +495,39 @@ def test_import_leaves_out_scipy_integrate():
 SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
-def _python(code, cwd=None):
-    """Last line of stdout of ``python -c code`` with the package importable."""
+def _python(code, cwd=None, lines=None):
+    """Last line of stdout of ``python -c code`` with the package importable,
+    or a list of the last ``lines`` lines."""
     src = str(Path(catenoid_dirac.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
                             text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    return result.stdout.splitlines()[-1]
+    out = result.stdout.splitlines()
+    return out[-1] if lines is None else out[-lines:]
 
 
 def test_import_leaves_out_scipy():
     assert _python(f"import sys, catenoid_dirac.cli; {SCIPY_MODULES}") == "[]"
 
 
-# the scipy modules each command loads: none, or only the compiled LAPACK
-# extension for the commands that eigensolve; the id says whether any loads
-FLAPACK = {"scipy.linalg._flapack"}
+# no command loads a scipy module; the id says whether the command
+# eigensolves, which imports catenoid_dirac._lapack and opens scipy's LAPACK
+# through ctypes
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["potentials", "--R", "1", "--m", "3"], set()),
-    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], set()),
-    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], set()),
-    (["report-figures", "--allow-invalid"], set()),
-    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], set()),
-    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], FLAPACK),
-    (["susy-check", "--mode", "catenoid"], FLAPACK),
-    (["susy-check", "--mode", "harmonic"], FLAPACK),
+@pytest.mark.parametrize("argv, eigensolves", [
+    (["potentials", "--R", "1", "--m", "3"], False),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], False),
+    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], False),
+    (["report-figures", "--allow-invalid"], False),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], False),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"], True),
+    (["susy-check", "--mode", "catenoid"], True),
+    (["susy-check", "--mode", "harmonic"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(bool(v)))
-def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, loaded):
+def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, eigensolves):
     code = (f"import sys; from catenoid_dirac.cli import main; "
-            f"assert main({argv + ['--out', 'out']!r}) == 0; {SCIPY_MODULES}")
-    assert _python(code, cwd=tmp_path) == str(sorted(loaded))
+            f"assert main({argv + ['--out', 'out']!r}) == 0; "
+            f"lapack = sys.modules.get('catenoid_dirac._lapack'); "
+            f"print(lapack is not None and lapack.handle.cache_info().currsize == 1); {SCIPY_MODULES}")
+    assert _python(code, cwd=tmp_path, lines=2) == [str(eigensolves), "[]"]

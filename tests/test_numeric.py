@@ -1,15 +1,21 @@
+import ctypes
 import importlib.machinery
 import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from catenoid_dirac import numeric
+from catenoid_dirac import _lapack, cli, numeric
 from catenoid_dirac.analytic import constant_case_rspace_potential
 from catenoid_dirac.cli import R_DELTA, X_DELTA
 from catenoid_dirac.geometry import CatenoidParams
@@ -173,44 +179,95 @@ class TestEigenTridiagonal:
         assert np.all(ratio > 3.5) and np.all(ratio < 4.5)
 
 
+@pytest.fixture
+def fresh_lapack():
+    """Clears the process-wide LAPACK handle before and after the test."""
+    _lapack.handle.cache_clear()
+    yield
+    _lapack.handle.cache_clear()
+
+
+# index of dstebz's INFO argument, which _lapack passes as a ctypes int by reference
+DSTEBZ_INFO = 17
+
+
+def _failing_dstebz(fails):
+    """dstebz that runs and then reports info = -3 when fails(args) holds."""
+    real = _lapack.handle().dstebz
+
+    def dstebz(*args):
+        real(*args)
+        if fails(args):
+            args[DSTEBZ_INFO]._obj.value = -3
+
+    return dstebz
+
+
 class TestFlapack:
-    NAME = "scipy.linalg._flapack"
+    def test_reuses_loaded_module(self, monkeypatch, fresh_lapack):
+        opened = []
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: opened.append(path) or real(path))
+        lapack = _lapack.handle()
+        assert _lapack.handle() is lapack
+        assert len(opened) == 1 and os.path.basename(opened[0]).startswith("_flapack.")
 
-    def test_reuses_loaded_module(self, monkeypatch):
-        loaded = object()
-        monkeypatch.setitem(sys.modules, self.NAME, loaded)
-        assert numeric._flapack() is loaded
-
-    def test_missing_extension_names_scipy_version(self, monkeypatch):
+    def test_missing_extension_names_scipy_version(self, monkeypatch, fresh_lapack):
         from importlib.metadata import version
 
-        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
         with pytest.raises(ImportError, match=f"scipy {version('scipy')} has no compiled extension"):
-            numeric._flapack()
+            _lapack.handle()
 
-    def test_scipy_linalg_imported_later_binds_loaded_extension(self):
-        # a later import of scipy.linalg shares the module _flapack() loaded
-        # and has it as its attribute, as after a plain submodule import
+    def test_missing_routines_name_scipy_version(self, monkeypatch, fresh_lapack):
+        from importlib.metadata import version
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
+        with pytest.raises(ImportError, match=rf"scipy {version('scipy')}: .* neither scipy_dstebz_ nor dstebz_"):
+            _lapack.handle()
+
+    def test_scipy_linalg_imported_after_eigensolve_works(self):
+        # the eigensolve opens scipy's LAPACK without importing any scipy
+        # module; scipy.linalg imported later initializes its extension as
+        # usual, and its eigh_tridiagonal gives the same levels
         code = (
-            "import sys; from catenoid_dirac import numeric; lapack = numeric._flapack(); "
-            "import scipy.linalg, scipy.linalg.lapack; "
-            "print(scipy.linalg._flapack is lapack, scipy.linalg.lapack._flapack is lapack, "
-            f"sys.modules[{self.NAME!r}] is lapack)"
+            "import sys, numpy as np; from catenoid_dirac import numeric; "
+            "op = numeric.TridiagonalOperator(2.0 + np.cos(np.arange(50.0)), np.full(49, -1.0)); "
+            "mine = numeric.eigen_tridiagonal(op, 4).eigenvalues; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "import scipy.linalg; "
+            "ref = scipy.linalg.eigh_tridiagonal(op.diagonal, op.offdiagonal, eigvals_only=True, "
+            "select='i', select_range=(0, 3)); "
+            "print(type(scipy.linalg._flapack).__name__, hasattr(scipy.linalg._flapack, 'dstebz'), "
+            "mine.tobytes() == ref.tobytes())"
         )
         src = str(Path(numeric.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["True", "True", "True"]
+        assert result.stdout.splitlines() == ["[]", "module True True"]
 
     def test_lapack_error_raises(self, monkeypatch):
-        failing = SimpleNamespace(dstebz=lambda *args: (0, np.zeros(3), None, None, -3))
-        monkeypatch.setitem(sys.modules, self.NAME, failing)
+        failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing_dstebz(lambda args: True)})
+        monkeypatch.setattr(_lapack, "handle", lambda: failing)
         op = TridiagonalOperator(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
         with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
             eigen_tridiagonal(op, 2)
+
+    @pytest.mark.parametrize("thread", ["calling", "helper"])
+    def test_failure_on_either_thread_raises_and_joins(self, monkeypatch, thread):
+        # the quarters run one pair on the calling thread, one on a helper
+        def fails(args):
+            return (threading.current_thread() is threading.main_thread()) == (thread == "calling")
+
+        failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing_dstebz(fails)})
+        monkeypatch.setattr(_lapack, "handle", lambda: failing)
+        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
+            eigen_tridiagonal(op, 4)
+        assert threading.active_count() == before
 
 
 class TestDerivativesAndResidual:
@@ -307,6 +364,21 @@ class TestSolveBracketed:
         with pytest.raises(ValueError, match="not finite"):
             solve_bracketed(g, 0.0, 1.0)
 
+    @pytest.mark.parametrize("call, root", [
+        ("solve_bracketed(lambda x: x - 1e6 - 0.3, 1e6, 1e6 + 1)", 1e6 + 0.3),
+        ("solve_bracketed(math.cos, 0.0, 2.0, tol=0.0)", math.pi / 2),
+    ], ids=["tol_below_spacing", "zero_tol"])
+    def test_tol_below_float_spacing_returns(self, call, root):
+        # once the bracket holds no float between its ends, bisection stops
+        # at one end; before, these ran forever, so they run in a child
+        # process with a deadline
+        code = f"import math; from catenoid_dirac.numeric import solve_bracketed; print(repr({call}))"
+        src = str(Path(numeric.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+        assert result.returncode == 0, result.stderr
+        assert abs(float(result.stdout) - root) <= math.ulp(root)
+
 
 def _cli_operators():
     """The operators that ``spectrum --mode numeric|both`` and the harmonic
@@ -355,3 +427,145 @@ def test_eigenvalues_match_vector_path(op, k):
     res = eigen_tridiagonal(op, k)
     assert np.array_equal(res.eigenvalues, ref)
     assert np.array_equal(res.eigenvectors, ref_vecs / np.sqrt(np.sum(ref_vecs**2, axis=0)))
+
+
+def _one_dstebz_call(d, e, k):
+    """Levels 1..k from the one dstebz call (index mode, tolerance 0, through
+    scipy's f2py wrapper) that eigen_tridiagonal reproduces."""
+    from scipy.linalg import lapack
+
+    m, w, _, _, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "E")
+    assert info == 0
+    return w[:m]
+
+
+def _levels_and_route(d, e, k):
+    """eigen_tridiagonal's levels and how they were found: "quarters" (four
+    value-mode dstebz calls, two per thread) or "one call" (index mode)."""
+    ranges = []
+    real = _lapack.dstebz
+
+    def spy(range_, *args):
+        ranges.append(range_)
+        return real(range_, *args)
+
+    with mock.patch.object(_lapack, "dstebz", spy):
+        levels = eigen_tridiagonal(TridiagonalOperator(d, e), k).eigenvalues
+    route = {(b"V",) * 4: "quarters", (b"I",): "one call"}[tuple(ranges)]
+    return levels, route
+
+
+def _assert_same_levels(d, e, k):
+    levels, route = _levels_and_route(d, e, k)
+    assert levels.tobytes() == _one_dstebz_call(d, e, k).tobytes()
+    return route
+
+
+@st.composite
+def _tridiagonals(draw, max_n=40):
+    """A random symmetric tridiagonal (d, e) of size 2..max_n and a k in
+    [1, n]; zero off-diagonal entries, which split the matrix, come up too."""
+    n = draw(st.integers(2, max_n))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    entries = st.floats(-100.0, 100.0)
+    d = draw(arrays(float, n, elements=entries)) * scale
+    e = draw(arrays(float, n - 1, elements=entries)) * scale
+    return d, e, draw(st.integers(1, n))
+
+
+@st.composite
+def _clusters(draw):
+    """Near-degenerate levels: copies of Wilkinson's W_(2p+1)^+, whose levels
+    come in close pairs, glued by small couplings, and repeated diagonal
+    values coupled weakly; k is any level count below n."""
+    if draw(st.booleans()):
+        p = draw(st.integers(2, 7))
+        block = np.abs(np.arange(-p, p + 1.0))
+        copies = draw(st.integers(1, 4))
+        d = np.tile(block, copies)
+        e = np.ones(len(d) - 1)
+        glue = draw(arrays(float, copies - 1, elements=st.sampled_from([1e-14, 1e-10, 1e-6, 1e-2])))
+        e[len(block) - 1 :: len(block)] = glue
+    else:
+        values = draw(arrays(float, draw(st.integers(2, 20)), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        d = np.repeat(values, 2)
+        coupling = st.sampled_from([1e-15, 1e-12, 1e-8, 1e-4, 1.0])
+        e = draw(arrays(float, len(d) - 1, elements=coupling))
+    return d, e, draw(st.integers(1, len(d) - 1))
+
+
+class TestSameLevelsAsOneDstebzCall:
+    """eigen_tridiagonal's levels are bit for bit those of one dstebz call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tridiagonals())
+    def test_random_tridiagonals(self, case):
+        _assert_same_levels(*case)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_clusters())
+    def test_near_degenerate_clusters(self, case):
+        _assert_same_levels(*case)
+
+    @pytest.mark.parametrize("d, e, k, route", [
+        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 2, "quarters"),
+        # W_5^+: an interval narrows to ulp*tnorm exactly, so the quarters
+        # need the tolerance dstebz recomputes from the widened bounds
+        ([2.0, 1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], 4, "quarters"),
+        ([2.0, 1.0, 3.0, 0.5], [0.3, 0.0, 0.2], 2, "one call"),  # a zero off-diagonal splits the matrix
+        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 4, "one call"),  # k = n: dstebz takes every level
+        # the lowest levels of two glued copies of W_11^+ lie 1e-10 apart, so
+        # the search for count 1 ends at count 2 and dstebz discards a level
+        (np.tile(np.abs(np.arange(-5.0, 6.0)), 2), np.r_[np.ones(10), 1e-10, np.ones(10)], 1, "one call"),
+        # (WL, WU] spans a few ulps, so its quarters would have converged
+        ([-1.0, -1.0], [2.0**-51], 1, "one call"),
+    ], ids=["quarters", "tolerance", "split", "all_levels", "discarded_level", "narrow_quarters"])
+    def test_routes(self, d, e, k, route):
+        assert _assert_same_levels(np.asarray(d, dtype=float), np.asarray(e, dtype=float), k) == route
+
+    @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001"])
+    def test_clipped_64001_point_operators(self, name):
+        op, k = _cli_operators()[name]
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "quarters"
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"],
+        ["susy-check", "--mode", "catenoid"],
+        ["susy-check", "--mode", "harmonic"],
+    ], ids=" ".join)
+    def test_readme_command_operators(self, tmp_path, argv):
+        solved = []
+        real = cli.eigen_tridiagonal
+
+        def record(op, k, grid=None):
+            solved.append((op, k))
+            return real(op, k, grid=grid)
+
+        with mock.patch.object(cli, "eigen_tridiagonal", record):
+            assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert solved
+        for op, k in solved:
+            assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "quarters"
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tridiagonals(max_n=30), st.sampled_from([None, Grid(0.0, 1.0, 16)]))
+    def test_eigenvectors_match_f2py_path(self, case, grid):
+        # the vectors are dstebz (block order) plus dstein, as through the
+        # f2py wrappers, sorted and normalized the same way
+        from scipy.linalg import lapack
+
+        d, e, k = case
+        result = eigen_tridiagonal(TridiagonalOperator(d, e), k, grid=grid)
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+        assert info == 0
+        w = w[:m]
+        vecs, info = lapack.dstein(d, e, w, iblock, isplit)
+        if info != 0:  # inverse iteration failed there too
+            with pytest.raises(np.linalg.LinAlgError, match=f"dstein failed with info = {info}"):
+                result.eigenvectors
+            return
+        vecs = vecs[:, np.argsort(w)]
+        h = grid.h if grid is not None else 1.0
+        ref = vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
+        got = result.eigenvectors
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

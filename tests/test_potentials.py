@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.potentials import (
@@ -204,3 +207,61 @@ class TestRSpaceForms:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             v1_v2_r_forms(1, 0.0, 1.0)
+
+
+U = 2.0**-53  # unit roundoff of a float
+
+
+class TestVEffAgainstMpmath:
+    """Property tests of v_eff against W^2 -+ W' over wide R, m and u, with
+    mpmath at 40 digits as the oracle.
+
+    With g = R^2 + u^2, the exact potential of branch s is t1 + s t2, where
+    t1 = m^2/g and t2 = m u/g^(3/2).  Counting roundings to first order in
+    u = 2^-53, with pow and sqrt within one rounding:
+    - g rounds three times, all terms positive: relative error 3u;
+    - v_eff forms t1 = m^2/g (m^2 exact) with error 4u, and t2 as m u
+      (u), g^1.5 (1.5 * 3u + u) and the quotient (u), 7.5u in all;
+    - superpotential forms W = m/sqrt(g) with 1.5u + u + u = 3.5u, so W*W
+      has 8u; superpotential_derivative forms W' = -m u/g^1.5 with 7.5u;
+    - the final sum or difference adds u |t1 + s t2| <= u (|t1| + |t2|).
+    So each route is within 9.5u (|t1| + |t2|) of the exact value, and the
+    two routes within 19u (|t1| + |t2|) of each other; the tests allow 12u
+    and 24u, which cover the second-order terms with room to spare.
+    """
+
+    @staticmethod
+    def _exact(R, m, u):
+        with mpmath.workdps(40):
+            g = mpmath.mpf(R) ** 2 + mpmath.mpf(u) ** 2
+            t1, t2 = m * m / g, m * mpmath.mpf(u) / g**1.5
+            return float(t1), float(t2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.integers(-50, 50), st.floats(-1e6, 1e6), st.sampled_from([1, -1]))
+    def test_each_component_is_w_squared_minus_plus_w_prime(self, R, m, u, s):
+        params = CatenoidParams(R)
+        t1, t2 = self._exact(R, m, u)
+        scale = abs(t1) + abs(t2)
+        v = float(v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(s)), params, u))
+        w, wp = float(superpotential(params, m, u)), float(superpotential_derivative(params, m, u))
+        # the s = +1 component is W^2 - W', the s = -1 component W^2 + W'
+        partner = w * w - s * wp
+        assert abs(v - (t1 + s * t2)) <= 12 * U * scale
+        assert abs(partner - (t1 + s * t2)) <= 12 * U * scale
+        assert abs(v - partner) <= 24 * U * scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-3, 1e3), st.integers(-50, 50), st.floats(-1e6, 1e6), st.floats(1e-2, 1e2),
+           st.booleans())
+    def test_second_component_is_first_with_m_negated(self, R, m, u, velocity, scarf):
+        # SpinorBranch(-1) is the second component: the first with m -> -m,
+        # for the constant velocity and the sec^2 profile alike
+        params = CatenoidParams(R)
+        kind = ScarfVF(velocity) if scarf else ConstantVF(velocity)
+        second = PotentialModel(kind, m, SpinorBranch(-1))
+        first_negated = PotentialModel(kind, -m, SpinorBranch(+1))
+        assert second.signed_m == first_negated.signed_m == -m
+        for potential in (u_eff, vbar_eff) + (() if scarf else (v_eff,)):
+            a, b = potential(second, params, u), potential(first_negated, params, u)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
