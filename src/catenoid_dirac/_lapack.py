@@ -24,10 +24,10 @@ import numpy as np
 
 
 def lowest_levels(d, e, k: int) -> np.ndarray:
-    """Levels 1..k of the symmetric tridiagonal (d, e), n = len(d) >= 2,
-    ascending: those of one ``dstebz`` call in index mode with tolerance 0,
-    bit for bit, from two threads where ``_levels_on_two_threads`` can
-    repeat that call and from the call itself elsewhere."""
+    """Levels 1..k of the symmetric tridiagonal (d, e), ascending: those of
+    one ``dstebz`` call in index mode with tolerance 0, bit for bit, from two
+    threads where ``_levels_on_two_threads`` can repeat that call and from
+    the call itself elsewhere."""
     d, e = _float_array(d), _float_array(e)
     levels = _levels_on_two_threads(d, e, k)
     if levels is None:
@@ -36,9 +36,9 @@ def lowest_levels(d, e, k: int) -> np.ndarray:
 
 
 def eigenvectors(d, e, k: int) -> np.ndarray:
-    """Unnormalized eigenvectors of levels 1..k of (d, e), n >= 2, as columns
-    in ascending order of level: ``dstebz`` in block order, then ``dstein``,
-    on the calling thread."""
+    """Unnormalized eigenvectors of levels 1..k of (d, e) as columns in
+    ascending order of level: ``dstebz`` in block order, then ``dstein``, on
+    the calling thread."""
     d, e = _float_array(d), _float_array(e)
     n = len(d)
     w, iblock, isplit = dstebz(b"I", b"B", d, e, 0.0, 1.0, 1, k, 0.0)

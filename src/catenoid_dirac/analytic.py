@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import CatenoidParams
 from .numeric import Grid, WavefunctionSamples, solve_bracketed
-from .potentials import PotentialModel, ScarfVF, _check_x, _rspace_potential, fermi_velocity
+from .potentials import ScarfVF, _check_x, _rspace_potential, fermi_velocity
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
 __all__ = [
@@ -454,7 +454,7 @@ def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: fl
 
 def _pdfv_weight(params: CatenoidParams, lam: float, u):
     """Sturm-Liouville weight 1/v_F(u)^2 of the sec^2-velocity problem."""
-    return 1.0 / fermi_velocity(PotentialModel(ScarfVF(lam), 0), params, u) ** 2
+    return 1.0 / fermi_velocity(ScarfVF(lam), params, u) ** 2
 
 
 def eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):

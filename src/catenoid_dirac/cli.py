@@ -44,9 +44,7 @@ from .numeric import (
 )
 from .potentials import (
     ConstantVF,
-    PotentialModel,
     ScarfVF,
-    SpinorBranch,
     partner_potentials_from_W,
     scarf_form_pdfv,
     superpotential,
@@ -157,20 +155,16 @@ def _params_echo(args, keys) -> dict:
     return {k: getattr(args, k) for k in keys}
 
 
-def _v_eff_pair(args, params: CatenoidParams, u) -> list[np.ndarray]:
-    """V_eff1, V_eff2: the constant-velocity potentials of both spinor components."""
-    return [v_eff(PotentialModel(ConstantVF(args.vf), args.m, SpinorBranch(s)), params, u)
-            for s in (+1, -1)]
-
-
 def cmd_potentials(args) -> int:
     params = CatenoidParams(args.R)
     u = _u_grid(args)
     header = ["u", "V_eff1", "V_eff2", "W"]
-    columns = [u, *_v_eff_pair(args, params, u), superpotential(params, args.m, u)]
+    # V_eff2, the second spinor component, is V_eff1 at -m
+    columns = [u, v_eff(params, args.m, u), v_eff(params, -args.m, u),
+               superpotential(params, args.m, u)]
     if args.lam is not None:
         header.append("U_eff1")
-        columns.append(u_eff(PotentialModel(ScarfVF(args.lam), args.m, SpinorBranch(+1)), params, u))
+        columns.append(u_eff(ScarfVF(args.lam), params, args.m, u))
     out = Path(args.out)
     flags = _write_csv(out, header, columns)
     echo = _params_echo(args, ["R", "m", "vf", "lam", "umin", "umax", "samples"])
@@ -338,10 +332,7 @@ def cmd_susy_check(args) -> int:
         u = np.linspace(-10.0, 10.0, 1001)
         w_val = superpotential(params, args.m, u)
         dw_val = superpotential_derivative(params, args.m, u)
-        if args.inject_error:
-            w_val = w_val + 0.5
-            validity_flags.append("injected superpotential corruption (test hook)")
-        v1, v2 = _v_eff_pair(args, params, u)
+        v1, v2 = v_eff(params, args.m, u), v_eff(params, -args.m, u)
         checks += [
             _check("partner_identity_minus", float(np.max(np.abs(w_val**2 - dw_val - v1))), 1e-12),
             _check("partner_identity_plus", float(np.max(np.abs(w_val**2 + dw_val - v2))), 1e-12),
@@ -351,8 +342,6 @@ def cmd_susy_check(args) -> int:
         sys_u = catenoid_system(params, args.m, grid)
         chi0 = catenoid_ground_state(params, args.m, grid.points)
         dchi0 = catenoid_ground_state_derivative(params, args.m, grid.points)
-        if args.inject_error:
-            dchi0 = dchi0 + 0.5
         ann = apply_ladder(sys_u, LadderDirection.LOWERING,
                            WavefunctionSamples(grid=grid, values=chi0), derivative=dchi0)
         checks.append(_check("zero_mode_annihilation", float(np.max(np.abs(ann.values))), 1e-8))
@@ -471,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("susy-check", help="run factorization checks, nonzero exit on failure")
     common(p, need_grid=False)
     p.add_argument("--mode", choices=["catenoid", "harmonic"], default="catenoid")
-    p.add_argument("--inject-error", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_susy_check)
 
     p = sub.add_parser("report-figures",

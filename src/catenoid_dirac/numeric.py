@@ -105,13 +105,10 @@ class SpectrumResult:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        d, e = self.operator.diagonal, self.operator.offdiagonal
-        if len(d) == 1:
-            vecs = np.ones((1, 1))
-        else:
-            from . import _lapack
+        from . import _lapack
 
-            vecs = _lapack.eigenvectors(d, e, len(self.eigenvalues))
+        vecs = _lapack.eigenvectors(self.operator.diagonal, self.operator.offdiagonal,
+                                    len(self.eigenvalues))
         h = self.grid.h if self.grid is not None else 1.0
         return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
 
@@ -164,12 +161,9 @@ def eigen_tridiagonal(
         raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("operator entries must be finite")
-    if n == 1:
-        vals = np.array(d, dtype=float)
-    else:
-        from . import _lapack
+    from . import _lapack
 
-        vals = _lapack.lowest_levels(d, e, int(k))
+    vals = _lapack.lowest_levels(d, e, int(k))
     return SpectrumResult(eigenvalues=vals, grid=grid, operator=op)
 
 

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .geometry import CatenoidParams
 
 __all__ = [
-    "SpinorBranch",
     "ConstantVF",
     "ScarfVF",
-    "PotentialModel",
     "superpotential",
     "superpotential_derivative",
     "v_eff",
@@ -39,17 +37,6 @@ __all__ = [
 
 # x-space functions reject |x| >= pi/2 - margin instead of returning inf
 X_DOMAIN_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
-class SpinorBranch:
-    """Which spinor component: +1 is the first, -1 the second (m -> -m)."""
-
-    sign: int = +1
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError(f"branch sign must be +1 or -1, got {self.sign}")
 
 
 @dataclass(frozen=True)
@@ -72,18 +59,6 @@ class ScarfVF:
             raise ValueError(f"velocity scale must be positive and finite, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class PotentialModel:
-    kind: Union[ConstantVF, ScarfVF]
-    m: int
-    branch: SpinorBranch = SpinorBranch(+1)
-
-    @property
-    def signed_m(self) -> int:
-        """Effective angular momentum for this spinor component."""
-        return self.branch.sign * self.m
-
-
 def _check_x(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= math.pi / 2 - X_DOMAIN_MARGIN):
@@ -102,20 +77,12 @@ def superpotential_derivative(params: CatenoidParams, m: int, u):
     return -m * u / g**1.5
 
 
-def v_eff(model: PotentialModel, params: CatenoidParams, u):
-    """Effective potential for constant Fermi velocity.
-
-    m^2/(R^2+u^2) + s*m*u/(R^2+u^2)^(3/2); the s=-1 branch equals the
-    s=+1 branch with m negated.
-    """
-    if not isinstance(model.kind, ConstantVF):
-        raise ValueError("v_eff applies to the constant Fermi velocity model")
-    return _constant_velocity_potential(model.signed_m, params, u)
-
-
-def _constant_velocity_potential(m_eff: int, params: CatenoidParams, u):
+def v_eff(params: CatenoidParams, m: int, u):
+    """Effective potential for constant Fermi velocity,
+    m^2/(R^2+u^2) + m*u/(R^2+u^2)^(3/2); the second spinor component is
+    the first at -m."""
     g = params.R**2 + np.square(u)
-    return m_eff**2 / g + m_eff * u / g**1.5
+    return m**2 / g + m * u / g**1.5
 
 
 def partner_potentials_from_W(W: Callable, u, dW: Callable):
@@ -134,41 +101,37 @@ def sigma_lambda(params: CatenoidParams, m: int, u):
     return w - drift, -w - drift
 
 
-def fermi_velocity(model: PotentialModel, params: CatenoidParams, u):
-    """v_F(u) for the model; minimum at the throat for the Scarf profile."""
-    if isinstance(model.kind, ConstantVF):
-        return model.kind.v_F * np.ones_like(np.asarray(u, dtype=float))
-    return model.kind.lam * (1.0 + np.square(u) / params.R**2)
+def fermi_velocity(profile: ConstantVF | ScarfVF, params: CatenoidParams, u):
+    """v_F(u) of the profile; minimum at the throat for the Scarf profile."""
+    if isinstance(profile, ConstantVF):
+        return profile.v_F * np.ones_like(np.asarray(u, dtype=float))
+    return profile.lam * (1.0 + np.square(u) / params.R**2)
 
 
-def kappa(model: PotentialModel, params: CatenoidParams, u):
+def kappa(profile: ConstantVF | ScarfVF, params: CatenoidParams, u):
     """Similarity weight (R^2+u^2)^(1/4)/sqrt(v_F(u))."""
-    vf = fermi_velocity(model, params, u)
-    if np.any(vf <= 0.0):
-        raise ValueError("Fermi velocity must be positive")
-    return (params.R**2 + np.square(u)) ** 0.25 / np.sqrt(vf)
+    return (params.R**2 + np.square(u)) ** 0.25 / np.sqrt(fermi_velocity(profile, params, u))
 
 
-def vbar_eff(model: PotentialModel, params: CatenoidParams, u):
+def vbar_eff(profile: ConstantVF | ScarfVF, params: CatenoidParams, m: int, u):
     """Velocity-gradient contribution to the effective potential.
 
-    Identically zero for a constant profile.  The m -> -m branch changes
-    only the term linear in m.
+    Identically zero for a constant profile.  The second spinor component
+    (m -> -m) changes only the term linear in m.
     """
     u = np.asarray(u, dtype=float)
-    if isinstance(model.kind, ConstantVF):
+    if isinstance(profile, ConstantVF):
         return np.zeros_like(u)
     # v_F and its analytic derivatives
-    lam, R2 = model.kind.lam, params.R**2
-    vf, vfp, vfpp = fermi_velocity(model, params, u), 2.0 * lam * u / R2, 2.0 * lam / R2
-    m_eff = model.signed_m
+    lam, R2 = profile.lam, params.R**2
+    vf, vfp, vfpp = fermi_velocity(profile, params, u), 2.0 * lam * u / R2, 2.0 * lam / R2
     root = np.sqrt(params.R**2 + np.square(u))
-    return -(vfp**2 - 2.0 * vf * (2.0 * m_eff * vfp / root + vfpp)) / (4.0 * vf**2)
+    return -(vfp**2 - 2.0 * vf * (2.0 * m * vfp / root + vfpp)) / (4.0 * vf**2)
 
 
-def u_eff(model: PotentialModel, params: CatenoidParams, u):
+def u_eff(profile: ConstantVF | ScarfVF, params: CatenoidParams, m: int, u):
     """Full effective potential: constant-velocity part plus velocity-gradient part."""
-    return _constant_velocity_potential(model.signed_m, params, u) + vbar_eff(model, params, u)
+    return v_eff(params, m, u) + vbar_eff(profile, params, m, u)
 
 
 def scarf_form_constant(params: CatenoidParams, m: int, epsilon: float, x):

@@ -217,13 +217,13 @@ def parabolic_cylinder_d(nu: float, z):
     reproduces the Hermite form 2^(-nu/2) e^(-z^2/4) H_nu(z/sqrt(2)).
     A scalar z returns a float, an array z an array of its shape.
     """
-    if abs(nu) > _PCF_MAX_NU:
+    if not abs(nu) <= _PCF_MAX_NU:  # written so that NaN fails it too
         raise ValueError(f"order out of supported range |nu| <= {_PCF_MAX_NU}")
     is_int = nu >= 0.0 and nu == int(nu)
     z_max = _PCF_MAX_Z if is_int else _PCF_MAX_Z_NONINTEGER
     scalar = _is_scalar(z)
     z = float(z) if scalar else np.asarray(z, dtype=float)
-    if abs(z) > z_max if scalar else np.any(np.abs(z) > z_max):
+    if not (abs(z) <= z_max if scalar else np.all(np.abs(z) <= z_max)):
         raise ValueError(f"argument out of supported range |z| <= {z_max} for nu={nu}")
     pre = 2.0 ** (nu / 2.0) * (math.exp if scalar else np.exp)(-z * z / 4.0)
     c1 = math.sqrt(math.pi) * reciprocal_gamma((1.0 - nu) / 2.0)

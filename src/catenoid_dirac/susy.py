@@ -66,8 +66,6 @@ def catenoid_system(params: CatenoidParams, m: int, grid: Grid) -> FactorizedSys
 def _require_same_grid(sys: FactorizedSystem, f: WavefunctionSamples):
     if f.grid != sys.grid:
         raise ValueError("samples live on a different grid than the system")
-    if f.grid.count < 5:
-        raise ValueError("need at least 5 grid points for the ladder stencil")
 
 
 def apply_ladder(
@@ -87,17 +85,17 @@ def apply_ladder(
     return WavefunctionSamples(grid=f.grid, values=out)
 
 
-def ground_state_from_W(sys: FactorizedSystem, grid: Grid) -> WavefunctionSamples:
-    """Zero mode exp(-int_0^u W dt), unnormalized; annihilated by the
-    lowering operator."""
-    u = grid.points
+def ground_state_from_W(sys: FactorizedSystem) -> WavefunctionSamples:
+    """Zero mode exp(-int_0^u W dt) on the system's grid, unnormalized;
+    annihilated by the lowering operator."""
+    u = sys.grid.points
     w = np.asarray(sys.W(u), dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("superpotential is not finite on the grid")
     integral = np.concatenate(([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(u))))
     # anchor at u = 0 (linear interpolation), or at the left end when 0 is off the grid
     anchor = np.interp(0.0, u, integral, right=integral[0])
-    return WavefunctionSamples(grid=grid, values=np.exp(-(integral - anchor)))
+    return WavefunctionSamples(grid=sys.grid, values=np.exp(-(integral - anchor)))
 
 
 def catenoid_ground_state(params: CatenoidParams, m: int, u):

@@ -38,9 +38,6 @@ from catenoid_dirac.numeric import (
     second_derivative,
 )
 from catenoid_dirac.potentials import (
-    ConstantVF,
-    PotentialModel,
-    SpinorBranch,
     scarf_form_pdfv,
     superpotential,
     superpotential_derivative,
@@ -71,8 +68,8 @@ def test_criterion_01_susy_algebra_identity():
     for m in (1, 2, 3):
         w = superpotential(R1, m, u)
         wp = superpotential_derivative(R1, m, u)
-        v1 = v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(+1)), R1, u)
-        v2 = v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(-1)), R1, u)
+        v1 = v_eff(R1, m, u)
+        v2 = v_eff(R1, -m, u)
         worst = max(worst, np.max(np.abs(w * w - wp - v1)), np.max(np.abs(w * w + wp - v2)))
     assert worst < 1e-12, f"criterion 1 FAIL: identity error {worst:.3e}"
 

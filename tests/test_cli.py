@@ -216,13 +216,27 @@ class TestSusyCheck:
         assert len(table) == 5
         assert max(r["relative_discrepancy"] for r in table) < 1e-3
 
-    def test_injected_error_fails(self, tmp_path):
+    def test_injected_error_fails(self, tmp_path, monkeypatch):
+        # a corrupted W breaks both partner identities, a corrupted zero-mode
+        # derivative the annihilation check
+        superpotential, derivative = cli.superpotential, cli.catenoid_ground_state_derivative
+        monkeypatch.setattr(cli, "superpotential", lambda *a: superpotential(*a) + 0.5)
+        monkeypatch.setattr(cli, "catenoid_ground_state_derivative", lambda *a: derivative(*a) + 0.5)
         out = tmp_path / "susybad.json"
-        rc = main(["susy-check", "--m", "2", "--inject-error", "--out", str(out)])
-        assert rc != 0
+        rc = main(["susy-check", "--m", "2", "--out", str(out)])
+        assert rc == 1
         report = json.loads(out.read_text())
         assert report["all_pass"] is False
-        assert len(report["failures"]) > 0
+        assert report["failures"] == ["partner_identity_minus", "partner_identity_plus",
+                                      "zero_mode_annihilation"]
+
+    def test_shift_table_skipped_without_scarf_pair(self, tmp_path):
+        out = tmp_path / "susy0.json"
+        rc = main(["susy-check", "--m", "0", "--R", "2", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["shift_table"] == []
+        assert "shift table skipped: quartic discriminant -7 is negative" in \
+            read_manifest(out)["validity_flags"]
 
 
 class TestReportFigures:

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.potentials import (
     ConstantVF,
-    PotentialModel,
     ScarfVF,
-    SpinorBranch,
     fermi_velocity,
     kappa,
     partner_potentials_from_W,
@@ -45,11 +43,9 @@ class TestSuperpotential:
 
 class TestVEff:
     def test_values(self):
-        model = PotentialModel(ConstantVF(1.0), 1, SpinorBranch(+1))
-        assert v_eff(model, R1, 0.0) == 1.0
-        assert abs(v_eff(model, R1, 1.0) - (0.5 + 2 ** -1.5)) < 1e-15
-        model2 = PotentialModel(ConstantVF(1.0), 1, SpinorBranch(-1))
-        assert abs(v_eff(model2, R1, 1.0) - (0.5 - 2 ** -1.5)) < 1e-15
+        assert v_eff(R1, 1, 0.0) == 1.0
+        assert abs(v_eff(R1, 1, 1.0) - (0.5 + 2 ** -1.5)) < 1e-15
+        assert abs(v_eff(R1, -1, 1.0) - (0.5 - 2 ** -1.5)) < 1e-15
 
     def test_susy_identity_analytic(self):
         # W^2 -+ W' reproduces both branches with analytic derivatives
@@ -57,24 +53,19 @@ class TestVEff:
         for m in (1, 2, 3):
             w = superpotential(R1, m, u)
             wp = superpotential_derivative(R1, m, u)
-            v1 = v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(+1)), R1, u)
-            v2 = v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(-1)), R1, u)
+            v1 = v_eff(R1, m, u)
+            v2 = v_eff(R1, -m, u)
             assert np.max(np.abs(w * w - wp - v1)) < 1e-12
             assert np.max(np.abs(w * w + wp - v2)) < 1e-12
 
     def test_parity(self):
         u = np.linspace(-7, 7, 201)
-        plus = v_eff(PotentialModel(ConstantVF(1.0), 2, SpinorBranch(+1)), R1, u)
-        minus = v_eff(PotentialModel(ConstantVF(1.0), 2, SpinorBranch(-1)), R1, -u)
+        plus = v_eff(R1, 2, u)
+        minus = v_eff(R1, -2, -u)
         assert np.max(np.abs(plus - minus)) < 1e-14
 
     def test_decay(self):
-        model = PotentialModel(ConstantVF(1.0), 3, SpinorBranch(+1))
-        assert abs(v_eff(model, R1, 1e4)) < 1e-6
-
-    def test_requires_constant_velocity(self):
-        with pytest.raises(ValueError):
-            v_eff(PotentialModel(ScarfVF(1.0), 1), R1, 0.0)
+        assert abs(v_eff(R1, 3, 1e4)) < 1e-6
 
 
 class TestPartnerFromW:
@@ -101,8 +92,7 @@ class TestPartnerFromW:
             u,
             dW=lambda uu: superpotential_derivative(R1, 2, uu),
         )
-        model = PotentialModel(ConstantVF(1.0), 2, SpinorBranch(+1))
-        assert np.max(np.abs(v1 - v_eff(model, R1, u))) < 1e-14
+        assert np.max(np.abs(v1 - v_eff(R1, 2, u))) < 1e-14
 
 
 class TestSigmaLambda:
@@ -123,46 +113,44 @@ class TestSigmaLambda:
 
 class TestVelocityProfile:
     def test_fermi_velocity_values(self):
-        assert fermi_velocity(PotentialModel(ConstantVF(1.0), 1), R1, 0.0) == 1.0
-        assert fermi_velocity(PotentialModel(ScarfVF(1.0), 1), R1, 0.0) == 1.0
-        assert fermi_velocity(PotentialModel(ScarfVF(2.0), 1), R1, 1.0) == 4.0
-        assert fermi_velocity(PotentialModel(ScarfVF(1.0), 1), CatenoidParams(2.0), 2.0) == 2.0
+        assert fermi_velocity(ConstantVF(1.0), R1, 0.0) == 1.0
+        assert fermi_velocity(ScarfVF(1.0), R1, 0.0) == 1.0
+        assert fermi_velocity(ScarfVF(2.0), R1, 1.0) == 4.0
+        assert fermi_velocity(ScarfVF(1.0), CatenoidParams(2.0), 2.0) == 2.0
 
     def test_kappa_values(self):
-        assert kappa(PotentialModel(ConstantVF(1.0), 1), R1, 0.0) == 1.0
-        assert abs(kappa(PotentialModel(ConstantVF(4.0), 1), R1, 0.0) - 0.5) < 1e-15
-        k = kappa(PotentialModel(ScarfVF(1.0), 1), R1, 1.0)
+        assert kappa(ConstantVF(1.0), R1, 0.0) == 1.0
+        assert abs(kappa(ConstantVF(4.0), R1, 0.0) - 0.5) < 1e-15
+        k = kappa(ScarfVF(1.0), R1, 1.0)
         assert abs(k - 2 ** 0.25 / math.sqrt(2.0)) < 1e-15
 
     def test_vbar_constant_is_zero(self):
         u = np.linspace(-5, 5, 51)
-        assert np.all(vbar_eff(PotentialModel(ConstantVF(2.0), 3), R1, u) == 0.0)
+        assert np.all(vbar_eff(ConstantVF(2.0), R1, 3, u) == 0.0)
 
     def test_vbar_scarf_value(self):
-        assert abs(vbar_eff(PotentialModel(ScarfVF(1.0), 0), R1, 0.0) - 1.0) < 1e-14
+        assert abs(vbar_eff(ScarfVF(1.0), R1, 0, 0.0) - 1.0) < 1e-14
 
     def test_vbar_derivatives_against_fd(self):
         # analytic v_F', v_F'' inside vbar must match central differences
-        model = PotentialModel(ScarfVF(1.5), 2)
+        profile, m = ScarfVF(1.5), 2
         p = CatenoidParams(1.3)
         u = np.linspace(-3, 3, 61)
         h = 1e-4  # balances truncation and roundoff in the second difference
 
         def vf(x):
-            return fermi_velocity(model, p, x)
+            return fermi_velocity(profile, p, x)
 
         vfp = (vf(u + h) - vf(u - h)) / (2 * h)
         vfpp = (vf(u + h) - 2 * vf(u) + vf(u - h)) / h**2
-        m = model.signed_m
         root = np.sqrt(p.R**2 + u * u)
         expected = -(vfp**2 - 2 * vf(u) * (2 * m * vfp / root + vfpp)) / (4 * vf(u) ** 2)
-        assert np.max(np.abs(expected - vbar_eff(model, p, u))) < 1e-6
+        assert np.max(np.abs(expected - vbar_eff(profile, p, m, u))) < 1e-6
 
     def test_u_eff(self):
         u = np.linspace(-5, 5, 51)
-        const = PotentialModel(ConstantVF(1.0), 2, SpinorBranch(+1))
-        assert np.max(np.abs(u_eff(const, R1, u) - v_eff(const, R1, u))) < 1e-14
-        assert abs(u_eff(PotentialModel(ScarfVF(1.0), 0), R1, 0.0) - 1.0) < 1e-14
+        assert np.max(np.abs(u_eff(ConstantVF(1.0), R1, 2, u) - v_eff(R1, 2, u))) < 1e-14
+        assert abs(u_eff(ScarfVF(1.0), R1, 0, 0.0) - 1.0) < 1e-14
 
 
 class TestXSpaceForms:
@@ -216,9 +204,9 @@ class TestVEffAgainstMpmath:
     """Property tests of v_eff against W^2 -+ W' over wide R, m and u, with
     mpmath at 40 digits as the oracle.
 
-    With g = R^2 + u^2, the exact potential of branch s is t1 + s t2, where
-    t1 = m^2/g and t2 = m u/g^(3/2).  Counting roundings to first order in
-    u = 2^-53, with pow and sqrt within one rounding:
+    With g = R^2 + u^2, the exact potential of component s (v_eff at s m)
+    is t1 + s t2, where t1 = m^2/g and t2 = m u/g^(3/2).  Counting roundings
+    to first order in u = 2^-53, with pow and sqrt within one rounding:
     - g rounds three times, all terms positive: relative error 3u;
     - v_eff forms t1 = m^2/g (m^2 exact) with error 4u, and t2 as m u
       (u), g^1.5 (1.5 * 3u + u) and the quotient (u), 7.5u in all;
@@ -243,25 +231,10 @@ class TestVEffAgainstMpmath:
         params = CatenoidParams(R)
         t1, t2 = self._exact(R, m, u)
         scale = abs(t1) + abs(t2)
-        v = float(v_eff(PotentialModel(ConstantVF(1.0), m, SpinorBranch(s)), params, u))
+        v = float(v_eff(params, s * m, u))
         w, wp = float(superpotential(params, m, u)), float(superpotential_derivative(params, m, u))
         # the s = +1 component is W^2 - W', the s = -1 component W^2 + W'
         partner = w * w - s * wp
         assert abs(v - (t1 + s * t2)) <= 12 * U * scale
         assert abs(partner - (t1 + s * t2)) <= 12 * U * scale
         assert abs(v - partner) <= 24 * U * scale
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(1e-3, 1e3), st.integers(-50, 50), st.floats(-1e6, 1e6), st.floats(1e-2, 1e2),
-           st.booleans())
-    def test_second_component_is_first_with_m_negated(self, R, m, u, velocity, scarf):
-        # SpinorBranch(-1) is the second component: the first with m -> -m,
-        # for the constant velocity and the sec^2 profile alike
-        params = CatenoidParams(R)
-        kind = ScarfVF(velocity) if scarf else ConstantVF(velocity)
-        second = PotentialModel(kind, m, SpinorBranch(-1))
-        first_negated = PotentialModel(kind, -m, SpinorBranch(+1))
-        assert second.signed_m == first_negated.signed_m == -m
-        for potential in (u_eff, vbar_eff) + (() if scarf else (v_eff,)):
-            a, b = potential(second, params, u), potential(first_negated, params, u)
-            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -164,6 +164,18 @@ class TestParabolicCylinder:
                 ref = sp.pbdv(nu, z)[0]
                 assert abs(parabolic_cylinder_d(nu, z) - ref) < 1e-8 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("nu, z_max", [(2.0, 20.0), (1.5, 6.0)])
+    def test_nan_argument_is_out_of_range(self, nu, z_max):
+        match = rf"argument out of supported range \|z\| <= {z_max} for nu={nu}"
+        with pytest.raises(ValueError, match=match):
+            parabolic_cylinder_d(nu, math.nan)
+        with pytest.raises(ValueError, match=match):
+            parabolic_cylinder_d(nu, np.array([0.0, math.nan, 1.0]))
+
+    def test_nan_order_is_out_of_range(self):
+        with pytest.raises(ValueError, match=r"order out of supported range \|nu\| <= 20.0"):
+            parabolic_cylinder_d(math.nan, 1.0)
+
 
 def _grids(bound):
     return arrays(float, st.integers(0, 40), elements=st.floats(-bound, bound))

@@ -62,7 +62,7 @@ class TestApplyLadder:
 class TestGroundStateFromW:
     def test_harmonic(self):
         g = Grid(-6.0, 6.0, 1201)
-        out = ground_state_from_W(harmonic_system(g), g)
+        out = ground_state_from_W(harmonic_system(g))
         ref = np.exp(-g.points**2 / 2)
         ratio = out.values / ref
         assert np.max(np.abs(ratio - ratio[g.count // 2])) < 1e-6
@@ -70,7 +70,7 @@ class TestGroundStateFromW:
     def test_catenoid_matches_closed_form(self):
         g = Grid(-5.0, 5.0, 2001)
         for m in (1, 2):
-            out = ground_state_from_W(catenoid_system(R1, m, g), g)
+            out = ground_state_from_W(catenoid_system(R1, m, g))
             ref = catenoid_ground_state(R1, m, g.points)
             ratio = out.values / ref
             assert np.max(np.abs(ratio - ratio[g.count // 2])) < 1e-5
@@ -78,7 +78,7 @@ class TestGroundStateFromW:
     @pytest.mark.parametrize("lo, hi", [(1.0, 6.0), (-6.0, -1.0)])
     def test_grid_without_zero_anchors_left_end(self, lo, hi):
         g = Grid(lo, hi, 1001)
-        out = ground_state_from_W(harmonic_system(g), g)
+        out = ground_state_from_W(harmonic_system(g))
         ref = np.exp(-(g.points**2 - lo**2) / 2)
         assert out.values[0] == 1.0
         assert np.max(np.abs(out.values / ref - 1.0)) < 1e-4
@@ -86,7 +86,7 @@ class TestGroundStateFromW:
     def test_zero_superpotential(self):
         g = Grid(-5.0, 5.0, 501)
         sys = FactorizedSystem(W=lambda u: np.zeros_like(u), grid=g, dW=lambda u: np.zeros_like(u))
-        out = ground_state_from_W(sys, g)
+        out = ground_state_from_W(sys)
         assert np.max(np.abs(out.values - 1.0)) < 1e-14
 
 
