@@ -2,14 +2,17 @@
 
 The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) and
 ``dstein`` (inverse iteration) of the LAPACK that scipy's compiled extension
-``scipy/linalg/_flapack`` links, opened without importing any scipy module,
-and ``lowest_levels``, which splits one ``dstebz`` call over two threads and
-returns its levels bit for bit.  ``numeric`` imports this module on its first
-eigensolve, so importing the package compiles and opens none of it.
+``scipy/linalg/_flapack`` links, opened without importing any scipy module;
+``lowest_levels``, which walks the bisection tree of one ``dstebz`` call
+from a work queue that two threads share and returns that call's levels bit
+for bit; and ``eigenvectors``, which runs ``dstein`` on levels already
+found.  ``numeric`` imports this module on its first eigensolve, so
+importing the package compiles and opens none of it.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -25,23 +28,29 @@ import numpy as np
 
 def lowest_levels(d, e, k: int) -> np.ndarray:
     """Levels 1..k of the symmetric tridiagonal (d, e), ascending: those of
-    one ``dstebz`` call in index mode with tolerance 0, bit for bit, from two
-    threads where ``_levels_on_two_threads`` can repeat that call and from
-    the call itself elsewhere."""
+    one ``dstebz`` call in index mode with tolerance 0, bit for bit, from
+    the bisection queue of ``_levels_from_queue`` on two threads where it
+    can repeat that call's steps and from the call itself elsewhere."""
     d, e = _float_array(d), _float_array(e)
-    levels = _levels_on_two_threads(d, e, k)
+    levels = _levels_from_queue(d, e, k)
     if levels is None:
         levels = dstebz(b"I", b"E", d, e, 0.0, 1.0, 1, k, 0.0)[0]
     return levels
 
 
-def eigenvectors(d, e, k: int) -> np.ndarray:
-    """Unnormalized eigenvectors of levels 1..k of (d, e) as columns in
-    ascending order of level: ``dstebz`` in block order, then ``dstein``, on
-    the calling thread."""
+def eigenvectors(d, e, levels) -> np.ndarray:
+    """Unnormalized eigenvectors of (d, e) as columns in ascending order of
+    level, by ``dstein`` on the calling thread, for ``levels``: levels 1..k
+    of (d, e) as ``lowest_levels`` returns them.  A matrix that does not
+    split is one block, in which ``dstebz`` gives these levels in this
+    order, so ``dstein`` takes them as they are; for a matrix that splits,
+    ``dstebz`` in block order finds them again with their block numbers."""
     d, e = _float_array(d), _float_array(e)
     n = len(d)
-    w, iblock, isplit = dstebz(b"I", b"B", d, e, 0.0, 1.0, 1, k, 0.0)
+    if _splits(d, e * e):
+        w, iblock, isplit = dstebz(b"I", b"B", d, e, 0.0, 1.0, 1, len(levels), 0.0)
+    else:
+        w, iblock, isplit = _float_array(levels), np.ones(len(levels), np.int32), np.array([n], np.int32)
     m = len(w)
     vecs = np.empty((n, m), order="F")
     info = ctypes.c_int()
@@ -150,31 +159,34 @@ _ULP, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _FUDGE, _RTOLI = 2.1, 2.0 * _ULP
 
 
-def _levels_on_two_threads(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
+def _splits(d: np.ndarray, e2: np.ndarray) -> bool:
+    """Whether ``dstebz`` splits (d, e) into blocks, e2 = e*e."""
+    return not np.all(np.abs(d[1:] * d[:-1]) * _ULP**2 + _TINY <= e2)
+
+
+def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
     """Levels 1..k of (d, e) as one ``dstebz`` call in index mode with
     tolerance 0 gives them, computed on two threads; None where that call
     cannot be repeated this way.
 
     That call finds WL and WU, with no level at or below WL and k levels at
-    or below WU, by two Sturm-count searches (``dlaebz`` job 3), then bisects
-    (WL, WU], clipped to its Gershgorin bounds, at midpoints 0.5*(a + b)
-    until each level's interval has converged (``dlaebz`` job 2).  Here the
-    two searches run one per thread, with the call's set-up arithmetic
-    copied.  Each interval of the bisection then evolves on its own, so
-    when neither half nor any quarter of the clipped interval is narrow
-    enough to have converged, ``dstebz`` in value mode on each quarter, with
-    the call's tolerance, repeats the call's steps inside that quarter:
-    quarters 1 and 3 run on the calling thread, 2 and 4 on a helper thread
-    (the lower levels lie denser, so the pairs even out, and the thread
-    that starts later gets the lighter pair), and the results are
-    concatenated.  Likewise the calling thread runs the longer search.
-    A matrix that splits, k = n (where ``dstebz`` takes all levels at once)
-    and searches that do not end at counts 0 and k (where it discards
-    levels) return None, as do the cases below.
+    or below WU, by two Sturm-count searches (``dlaebz`` job 3), counts the
+    levels at or below the ends of (WL, WU], clipped to its Gershgorin
+    bounds (job 1), and bisects that interval at midpoints 0.5*(a + b)
+    until each level's interval has converged (job 2).  Here the search for
+    WL runs on a helper thread and the search for WU on the calling thread
+    (``_upper_end``), with the call's set-up arithmetic copied.  Each
+    interval of the bisection then evolves on its own, with the iterations
+    the call has left for it, so two threads walk the call's bisection tree
+    from one queue (``_BisectionQueue``) and every Sturm count is one the
+    call makes.  A matrix that splits, k = n (where ``dstebz`` takes all
+    levels at once), counts at the ends of (WL, WU] other than 0 and k
+    (where it discards levels), an interval the call leaves unconverged and
+    a nonzero ``dlaebz`` info return None.
     """
     n = len(d)
     e2 = e * e
-    if k == n or not np.all(np.abs(d[1:] * d[:-1]) * _ULP**2 + _TINY <= e2):
+    if k == n or _splits(d, e2):
         return None
     pivmin = max(1.0, float(e2.max())) * _TINY
     # Gershgorin bounds, widened: gl and gu for the searches, low and gu for
@@ -190,38 +202,190 @@ def _levels_on_two_threads(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.
     gl, gu = gl - widen - _FUDGE * 2.0 * pivmin, gu + widen + _FUDGE * pivmin
     if not (math.isfinite(gl) and math.isfinite(gu)):
         return None
-    atoli = _ULP * max(abs(low), abs(gu))
-    itmax = int((math.log(tnorm + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
-    lapack = handle()
+    routine = handle().dlaebz
 
-    def search(count: int, start: float):
-        ab, nab = np.array([gl, gu]), np.array([-1, n + 1], np.int32)
-        # dstebz ignores this job's info, and so does this copy
-        _fortran(lapack.dlaebz, 3, itmax, n, 1, 1, 0, _ULP * tnorm, _RTOLI, pivmin, d, e, e2,
-                 np.array([count], np.int32), ab, np.array([start]), ctypes.c_int(), nab,
-                 np.empty(1), np.empty(1, np.int32), ctypes.c_int())
-        return ab, nab
+    def dlaebz():
+        return _Dlaebz(routine, d, e, e2, pivmin)
 
-    (ab_wl, nab_wl), (ab_wu, nab_wu) = _on_two_threads(lambda: search(0, gl), lambda: search(k, gu))
-    if nab_wl[0] != 0 or nab_wu[1] != k:
+    def lower_end():
+        [(wl, _, nwl, _)], _ = dlaebz().run(
+            3, _iterations(tnorm, pivmin), _ULP * tnorm, gl, gu, -1, n + 1, nval=0, start=gl)
+        return wl, nwl
+
+    (wl, nwl), upper = _on_two_threads(lower_end, lambda: _upper_end(dlaebz(), k, gl, gu, tnorm))
+    if nwl != 0 or upper is None or upper[1] != k:
         return None
-    lo, hi = max(low, float(ab_wl[0])), min(gu, float(ab_wu[1]))
-    mid = 0.5 * (lo + hi)
-    ends = (lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi)
-    # dlaebz's convergence test, negated so that a NaN end fails it too
-    if not all(b - a >= max(atoli, pivmin, _RTOLI * max(abs(a), abs(b)))
-               for a, b in [(lo, mid), (mid, hi), *zip(ends, ends[1:])]):
+    lo, hi = max(low, wl), min(gu, upper[0])
+    if not lo < hi:
         return None
+    queue = _BisectionQueue(dlaebz, _ULP * max(abs(low), abs(gu)), k, _iterations(hi - lo, pivmin))
+    if not queue.open(lo, hi):
+        return None
+    _on_two_threads(queue.drain, queue.drain)
+    return None if queue.stopped else queue.levels
 
-    def quarters(first: int):
-        return [dstebz(b"V", b"E", d, e, ends[q], ends[q + 1], 0, 0, atoli)[0] for q in (first, first + 2)]
 
-    (q2, q4), (q1, q3) = _on_two_threads(lambda: quarters(1), lambda: quarters(0))
-    levels = np.concatenate([q1, q2, q3, q4])
-    # value mode counts at the quarter ends with dlaebz job 1, the one call
-    # inside (WL, WU] with job 2; the two differ only at a pivot equal to
-    # pivmin, where the counts could disagree
-    return levels if len(levels) == k else None
+def _iterations(width: float, pivmin: float) -> int:
+    """dstebz's iteration budget for a search or bisection over a width."""
+    return int((math.log(width + pivmin) - math.log(pivmin)) / math.log(2.0)) + 2
+
+
+def _converged(a: float, b: float, na: int, nb: int, abstol: float, pivmin: float) -> bool:
+    """dlaebz's convergence test of the interval (a, b] with counts na, nb."""
+    return abs(b - a) < max(abstol, pivmin, _RTOLI * max(abs(b), abs(a))) or na >= nb
+
+
+def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
+    """(WU, its count) as ``dstebz``'s search for count k finds them, or
+    None where that search would end at no count <= k.
+
+    The search (job 3 started at gu) halves towards gl, c(j+1) = 0.5*(gl +
+    c(j)), until it meets a count <= k, then bisects the last step until
+    the count is k or the interval has converged.  A computed Sturm count
+    does not decrease as the shift grows, so the first point with a count
+    <= k is found by binary search over those points, with one-step counts,
+    and only the search's last steps are run as it runs them.
+    """
+    n, pivmin = dlaebz.n, dlaebz.pivmin
+    abstol, itmax = _ULP * tnorm, _iterations(tnorm, pivmin)
+    points = [gu]
+    while len(points) < itmax and not _converged(gl, points[-1], -1, n + 1, abstol, pivmin):
+        points.append(0.5 * (gl + points[-1]))
+    counts = {}
+    before, first = -1, len(points)  # counts > k up to before, <= k from first
+    while first - before > 1:
+        j = (before + first) // 2
+        # the step keeps a count <= k as the lower end's, a larger one as the upper's
+        [(_, _, below, above)], _ = dlaebz.run(3, 1, abstol, gl, gu, -1, n + 1, nval=k, start=points[j])
+        counts[j] = below if below >= 0 else above
+        if counts[j] <= k:
+            first = j
+        else:
+            before = j
+    if first == len(points):
+        return None
+    # the search's interval after it evaluated points[first]
+    a, na = points[first], counts[first]
+    b, nb = (points[before], counts[before]) if before >= 0 else (gu, n + 1)
+    if na >= k:
+        b, nb = a, na
+    steps = itmax - first - 1
+    if steps > 0 and not _converged(a, b, na, nb, abstol, pivmin):
+        [(_, b, _, nb)], _ = dlaebz.run(3, steps, abstol, a, b, na, nb, nval=k, start=0.5 * (a + b))
+    return b, nb
+
+
+class _Dlaebz:
+    """``dlaebz`` on one matrix (d, e, e2) for one thread, one interval in.
+
+    The scalar and interval arguments live in two small arrays whose
+    addresses are taken once, so that a call costs a few microseconds of
+    Python, not the tens that ``_fortran`` spends converting arguments.
+    """
+
+    def __init__(self, routine, d, e, e2, pivmin: float):
+        self.routine, self.n, self.pivmin = routine, len(d), pivmin
+        # ints: IJOB, NITMAX, N, MMAX, MINP, NBMIN, NVAL, MOUT, INFO,
+        # NAB(2, 2), IWORK(2); reals: ABSTOL, RELTOL, PIVMIN, AB(2, 2),
+        # C(2), WORK(2).  MINP is 1 and NBMIN 0, as in dstebz (whose block
+        # size for dlaebz is 1, which it passes as 0)
+        self.ints, self.reals = np.zeros(15, np.int32), np.zeros(11)
+        self.ints[2], self.ints[4] = self.n, 1
+        self.reals[1], self.reals[2] = _RTOLI, pivmin
+        i, r = self.ints.ctypes.data, self.reals.ctypes.data
+        self.args = (i, i + 4, i + 8, i + 12, i + 16, i + 20, r, r + 8, r + 16,
+                     d.ctypes.data, e.ctypes.data, e2.ctypes.data, i + 24, r + 24, r + 56,
+                     i + 28, i + 36, r + 72, i + 52, i + 32)
+        self.keep = (d, e, e2)  # the arrays whose addresses args holds
+
+    def run(self, job: int, nitmax: int, abstol: float, a: float, b: float, na: int, nb: int,
+            nval: int = 0, start: float = 0.0):
+        """One call on the interval (a, b] with counts na, nb, and MMAX = 2
+        (room for one split) for job 2, 1 otherwise: the intervals out as
+        (a, b, na, nb), the converged first, and the info."""
+        ints, reals = self.ints, self.reals
+        mmax = 2 if job == 2 else 1
+        ints[0], ints[1], ints[3], ints[6], ints[9], ints[9 + mmax] = job, nitmax, mmax, nval, na, nb
+        reals[0], reals[3], reals[3 + mmax], reals[7] = abstol, a, b, start
+        self.routine(*self.args)
+        mout = int(ints[7]) if job == 2 else 1
+        ab, nab = reals[3:3 + 2 * mmax].tolist(), ints[9:9 + 2 * mmax].tolist()
+        return [(ab[j], ab[mmax + j], nab[j], nab[mmax + j]) for j in range(mout)], int(ints[8])
+
+
+class _BisectionQueue:
+    """The job-2 bisection of one ``dstebz`` call over (lo, hi], walked by
+    any number of threads that call ``drain``, each with its own
+    ``_Dlaebz`` from the factory dlaebz.
+
+    Each thread takes the interval that holds the most levels.  One with
+    two or more levels takes one ``dlaebz`` job-2 step, which evaluates the
+    midpoint the one call evaluates and applies its clamp, update, split
+    and convergence test; one with a single level is bisected to
+    convergence by one job-2 call with the iterations the one call has left
+    for it; a converged interval writes its midpoint to levels[na:nb], as
+    ``dstebz`` does.  ``stopped`` is set when the one call would leave an
+    interval unconverged, when ``dlaebz`` reports an info the one call
+    would not see, or when a thread raised.
+    """
+
+    def __init__(self, dlaebz: Callable[[], _Dlaebz], atoli: float, k: int, itmax: int):
+        self.dlaebz, self.atoli, self.k, self.itmax = dlaebz, atoli, k, itmax
+        self.levels = np.empty(k)
+        self.pending = []  # (levels held, -na, (a, b, na, nb, depth)), ascending
+        self.busy = 0
+        self.stopped = False
+        self.lock = threading.Condition()
+
+    def open(self, lo: float, hi: float) -> bool:
+        """Queue (lo, hi] with the job-1 counts ``dstebz`` takes there;
+        False where those are not 0 and k."""
+        [(_, _, nl, nu)], _ = self.dlaebz().run(1, 0, self.atoli, lo, hi, 0, 0)
+        if (nl, nu) != (0, self.k):
+            return False
+        self._push([(lo, hi, 0, self.k, 0)])
+        return True
+
+    def _push(self, intervals) -> None:
+        for interval in intervals:
+            bisect.insort(self.pending, (interval[3] - interval[2], -interval[2], interval))
+
+    def drain(self) -> None:
+        dlaebz = self.dlaebz()
+        while True:
+            with self.lock:
+                while not self.pending and self.busy and not self.stopped:
+                    self.lock.wait()
+                if self.stopped or not self.pending:
+                    return
+                interval = self.pending.pop()[2]
+                self.busy += 1
+            unconverged = None
+            try:
+                unconverged = self._bisect(dlaebz, *interval)
+            finally:
+                with self.lock:
+                    self.busy -= 1
+                    if unconverged is None:
+                        self.stopped = True
+                    else:
+                        self._push(unconverged)
+                    self.lock.notify_all()
+
+    def _bisect(self, dlaebz: _Dlaebz, a: float, b: float, na: int, nb: int, depth: int):
+        """Bisect one interval as the one call does: the intervals that are
+        left unconverged, or None where the one call would stop unconverged
+        or dlaebz reports an info it would not."""
+        if depth >= self.itmax:
+            return None
+        single = nb - na == 1
+        out, info = dlaebz.run(2, self.itmax - depth if single else 1, self.atoli, a, b, na, nb)
+        if not 0 <= info <= len(out) or single and info:
+            return None
+        converged = len(out) - info
+        for a, b, na, nb in out[:converged]:
+            self.levels[na:nb] = 0.5 * (a + b)
+        return [(*interval, depth + 1) for interval in out[converged:]]
 
 
 def _on_two_threads(first: Callable, second: Callable) -> tuple:

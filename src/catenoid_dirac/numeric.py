@@ -9,9 +9,9 @@ The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
 ``dlaebz``) and inverse iteration (``dstein``), called through ctypes from
 the LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links
 (module ``_lapack``, imported on the first eigensolve); no scipy module is
-imported.  ``eigen_tridiagonal`` splits the bisection over two threads and
-returns the levels of one ``dstebz`` call bit for bit; the split pays only
-when a second core is free.
+imported.  ``eigen_tridiagonal`` returns the levels of one ``dstebz`` call
+bit for bit, from two threads that walk that call's bisection tree from one
+work queue; the second thread pays only when a second core is free.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ class SpectrumResult:
     """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
 
     ``eigenvectors`` (shape (count, k)) is solved for the first time it is
-    read, from the stored operator, on the calling thread: LAPACK ``dstebz``
-    (levels 1..k in block order) gives the levels, ``dstein`` the vectors by
-    inverse iteration (``_lapack.eigenvectors``), and the columns are sorted
-    by level and normalized so that sum(f**2) * h = 1 (h = 1 without a
-    grid).  Later reads return the same array.
+    read, from the stored operator, on the calling thread: LAPACK ``dstein``
+    finds the vectors of the levels in ``eigenvalues`` by inverse iteration
+    (``_lapack.eigenvectors``; only for a matrix that splits does ``dstebz``
+    in block order first find the levels' block numbers), and the columns
+    are sorted by level and normalized so that sum(f**2) * h = 1 (h = 1
+    without a grid).  Later reads return the same array.
     """
 
     eigenvalues: np.ndarray
@@ -107,8 +108,7 @@ class SpectrumResult:
     def eigenvectors(self) -> np.ndarray:
         from . import _lapack
 
-        vecs = _lapack.eigenvectors(self.operator.diagonal, self.operator.offdiagonal,
-                                    len(self.eigenvalues))
+        vecs = _lapack.eigenvectors(self.operator.diagonal, self.operator.offdiagonal, self.eigenvalues)
         h = self.grid.h if self.grid is not None else 1.0
         return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
 
@@ -146,12 +146,14 @@ def eigen_tridiagonal(
 
     The levels are bit for bit those of one ``dstebz`` call for levels 1..k
     with tolerance 0, the call ``scipy.linalg.eigh_tridiagonal(d, e,
-    eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  That
-    call's work is split over two threads (``_lapack.lowest_levels``), which
-    saves time only when a second core is free; on one core it takes a
-    little longer than the one call.  The entries of op must be finite and k an integer in
-    [1, len(op.diagonal)].  Eigenvectors are solved for only when the
-    result's ``eigenvectors`` is first read (see SpectrumResult).
+    eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  Two
+    threads walk that call's bisection tree from one work queue
+    (``_lapack.lowest_levels``), making the call's own Sturm counts and fewer
+    in its search for the upper end of the levels' interval; the second
+    thread saves time when a second core is free.  The entries of op must be
+    finite and k an integer in [1, len(op.diagonal)].  Eigenvectors are
+    solved for only when the result's ``eigenvectors`` is first read (see
+    SpectrumResult).
     """
     d, e = op.diagonal, op.offdiagonal
     n = len(d)

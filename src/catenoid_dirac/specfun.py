@@ -44,7 +44,7 @@ class JacobiParams:
     def __post_init__(self):
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError(f"degree must be a non-negative integer, got {self.n}")
-        if self.alpha <= -1.0 or self.beta <= -1.0:
+        if not (self.alpha > -1.0 and self.beta > -1.0):  # written so that NaN fails it too
             raise ValueError("alpha and beta must exceed -1")
 
 
@@ -54,7 +54,7 @@ def jacobi(p: JacobiParams, x):
     Evaluation slightly outside [-1, 1] is allowed for residual tests.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
+    if not np.all(np.abs(x) <= 1.0 + 1e-12):  # written so that NaN fails it too
         raise ValueError("argument must lie in [-1, 1] (within 1e-12)")
     n, a, b = p.n, p.alpha, p.beta
     p0 = np.ones_like(x)
@@ -109,12 +109,20 @@ def kummer_m(a: float, b: float, z):
     growing ones: M(1e-20, 1, 50) = 2.0586, not the 1.0 of its first term.
     A scalar z returns a float; an array z is summed in one loop over the
     elements that have not yet converged and returns an array of its shape.
+    A NaN a, b or z, scalar or in an array, raises ValueError.
     """
+    if math.isnan(a) or math.isnan(b):
+        raise ValueError(f"a and b must be numbers, got a={a}, b={b}")
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
     if _is_scalar(z):
-        return _kummer_scalar(a, b, float(z))
+        z = float(z)
+        if math.isnan(z):
+            raise ValueError(f"z must be a number, got {z}")
+        return _kummer_scalar(a, b, z)
     z = np.asarray(z, dtype=float)
+    if np.isnan(z).any():
+        raise ValueError("z must be a number, got an array that holds NaN")
     out = np.empty_like(z)
     # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
     flip = (z < 0.0) & (not _terminates(a))

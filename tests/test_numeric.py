@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -169,6 +170,24 @@ class TestEigenTridiagonal:
         assert "eigenvectors" in vars(res)
         assert res.eigenvectors is vecs
 
+    @pytest.mark.parametrize("off, orders", [(-1.0, []), (0.0, [b"B"])], ids=["one_block", "split"])
+    def test_eigenvectors_bisect_again_only_a_matrix_that_splits(self, off, orders):
+        # dstein takes the levels the result holds for one block; a matrix
+        # that splits needs the block numbers of dstebz in block order
+        op = TridiagonalOperator(2.0 + np.cos(np.arange(60.0)), np.r_[np.full(29, -1.0), off, np.full(29, -1.0)])
+        res = eigen_tridiagonal(op, 5)
+        called = []
+        real = _lapack.dstebz
+
+        def spy(range_, order, *args):
+            called.append(order)
+            return real(range_, order, *args)
+
+        with mock.patch.object(_lapack, "dstebz", spy):
+            vecs = res.eigenvectors
+        assert called == orders
+        assert vecs.shape == (60, 5)
+
     def test_convergence_ratio(self):
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
         e = {}
@@ -187,20 +206,27 @@ def fresh_lapack():
     _lapack.handle.cache_clear()
 
 
-# index of dstebz's INFO argument, which _lapack passes as a ctypes int by reference
-DSTEBZ_INFO = 17
+# the INFO arguments of dstebz, which _lapack passes as a ctypes int by
+# reference, and of dlaebz, which it passes as an address
+DSTEBZ_INFO, DLAEBZ_INFO = 17, 19
 
 
-def _failing_dstebz(fails):
-    """dstebz that runs and then reports info = -3 when fails(args) holds."""
-    real = _lapack.handle().dstebz
+def _int_argument(arg) -> ctypes.c_int:
+    return arg._obj if hasattr(arg, "_obj") else ctypes.c_int.from_address(arg)
 
-    def dstebz(*args):
+
+def _failing(name, fails):
+    """The LAPACK routine name that runs and then reports info = -3 when
+    fails(args) holds."""
+    real = getattr(_lapack.handle(), name)
+    info = {"dstebz": DSTEBZ_INFO, "dlaebz": DLAEBZ_INFO}[name]
+
+    def routine(*args):
         real(*args)
         if fails(args):
-            args[DSTEBZ_INFO]._obj.value = -3
+            _int_argument(args[info]).value = -3
 
-    return dstebz
+    return routine
 
 
 class TestFlapack:
@@ -249,7 +275,10 @@ class TestFlapack:
         assert result.stdout.splitlines() == ["[]", "module True True"]
 
     def test_lapack_error_raises(self, monkeypatch):
-        failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing_dstebz(lambda args: True)})
+        # a dlaebz info the one dstebz call would not see sends the
+        # bisection queue back to that call, whose info raises
+        failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing("dstebz", lambda args: True),
+                                     "dlaebz": _failing("dlaebz", lambda args: True)})
         monkeypatch.setattr(_lapack, "handle", lambda: failing)
         op = TridiagonalOperator(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
         with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
@@ -257,17 +286,26 @@ class TestFlapack:
 
     @pytest.mark.parametrize("thread", ["calling", "helper"])
     def test_failure_on_either_thread_raises_and_joins(self, monkeypatch, thread):
-        # the quarters run one pair on the calling thread, one on a helper
-        def fails(args):
-            return (threading.current_thread() is threading.main_thread()) == (thread == "calling")
-
-        failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing_dstebz(fails)})
-        monkeypatch.setattr(_lapack, "handle", lambda: failing)
+        # the searches for the ends of (WL, WU] run one per thread (dlaebz
+        # job 3), then both threads bisect from one queue (job 2); a call
+        # that raises on either thread in either phase reaches the caller
+        real = _lapack.handle().dlaebz
         op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
-        before = threading.active_count()
-        with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
-            eigen_tridiagonal(op, 4)
-        assert threading.active_count() == before
+        for job in (3, 2):
+            def dlaebz(*args, job=job):
+                on_calling = threading.current_thread() is threading.main_thread()
+                if _int_argument(args[0]).value == job:
+                    if on_calling == (thread == "calling"):
+                        raise RuntimeError(f"dlaebz job {job} failed")
+                    time.sleep(0.01)  # so that the failing thread takes work
+                real(*args)
+
+            failing = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
+            monkeypatch.setattr(_lapack, "handle", lambda: failing)
+            before = threading.active_count()
+            with pytest.raises(RuntimeError, match=f"dlaebz job {job} failed"):
+                eigen_tridiagonal(op, 4)
+            assert threading.active_count() == before
 
 
 class TestDerivativesAndResidual:
@@ -401,6 +439,20 @@ def _cli_operators():
     return ops
 
 
+def _bunched_operators():
+    """Operators of the benchmark sweep at 64001 points whose levels lie
+    bunched at one end of (WL, WU]: the clipped compact operators at m = +-1
+    and the Scarf operator at m = 0, R = 1.1, whose lowest levels lie far
+    below the others (-1.3e5, and down to -3.9e6 for the Scarf operator)."""
+    r = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, 64001)
+    x = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 64001)
+    ops = {f"constant_m{m}_64001": (discretize_sturm_liouville(
+        lambda r: 1.0 - r * r, lambda r, m=m: constant_case_rspace_potential(m, r), r
+    ), 8) for m in (1, -1)}
+    ops["scarf_m0_R1.1_64001"] = (discretize(lambda x: scarf_form_pdfv(CatenoidParams(1.1), 0, x), x), 8)
+    return ops
+
+
 def _random_operators():
     """Seeded matrices that split (zero off-diagonals) and repeat values."""
     ops = {}
@@ -440,8 +492,9 @@ def _one_dstebz_call(d, e, k):
 
 
 def _levels_and_route(d, e, k):
-    """eigen_tridiagonal's levels and how they were found: "quarters" (four
-    value-mode dstebz calls, two per thread) or "one call" (index mode)."""
+    """eigen_tridiagonal's levels and how they were found: "queue" (the
+    bisection queue on two threads, no dstebz call) or "one call" (index
+    mode)."""
     ranges = []
     real = _lapack.dstebz
 
@@ -451,7 +504,7 @@ def _levels_and_route(d, e, k):
 
     with mock.patch.object(_lapack, "dstebz", spy):
         levels = eigen_tridiagonal(TridiagonalOperator(d, e), k).eigenvalues
-    route = {(b"V",) * 4: "quarters", (b"I",): "one call"}[tuple(ranges)]
+    route = {(): "queue", (b"I",): "one call"}[tuple(ranges)]
     return levels, route
 
 
@@ -508,25 +561,103 @@ class TestSameLevelsAsOneDstebzCall:
         _assert_same_levels(*case)
 
     @pytest.mark.parametrize("d, e, k, route", [
-        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 2, "quarters"),
-        # W_5^+: an interval narrows to ulp*tnorm exactly, so the quarters
-        # need the tolerance dstebz recomputes from the widened bounds
-        ([2.0, 1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], 4, "quarters"),
+        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 2, "queue"),
+        # W_5^+: an interval narrows to ulp*tnorm exactly, so the queue
+        # needs the tolerance dstebz recomputes from the widened bounds
+        ([2.0, 1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], 4, "queue"),
         ([2.0, 1.0, 3.0, 0.5], [0.3, 0.0, 0.2], 2, "one call"),  # a zero off-diagonal splits the matrix
         ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 4, "one call"),  # k = n: dstebz takes every level
         # the lowest levels of two glued copies of W_11^+ lie 1e-10 apart, so
         # the search for count 1 ends at count 2 and dstebz discards a level
         (np.tile(np.abs(np.arange(-5.0, 6.0)), 2), np.r_[np.ones(10), 1e-10, np.ones(10)], 1, "one call"),
-        # (WL, WU] spans a few ulps, so its quarters would have converged
-        ([-1.0, -1.0], [2.0**-51], 1, "one call"),
+        # (WL, WU] spans a few ulps; the queue bisects it as the one call does
+        ([-1.0, -1.0], [2.0**-51], 1, "queue"),
     ], ids=["quarters", "tolerance", "split", "all_levels", "discarded_level", "narrow_quarters"])
     def test_routes(self, d, e, k, route):
         assert _assert_same_levels(np.asarray(d, dtype=float), np.asarray(e, dtype=float), k) == route
 
-    @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001"])
+    @settings(max_examples=200, deadline=None)
+    @given(_tridiagonals(max_n=80), st.integers(-2, 2))
+    def test_about_half_the_levels(self, case, offset):
+        # many levels: the queue splits often and both threads take work
+        d, e, _ = case
+        _assert_same_levels(d, e, min(max(len(d) // 2 + offset, 1), len(d)))
+
+    def test_queue_drained_by_more_threads_than_cores(self, monkeypatch):
+        # four threads on the queue, switching as often as the interpreter
+        # allows: a lost or doubled interval would change or leave out levels
+        real = _lapack._on_two_threads
+
+        def on_four_threads(first, second):
+            if first != second:  # the searches
+                return real(first, second)
+            helpers = [threading.Thread(target=first, daemon=True) for _ in range(3)]
+            for thread in helpers:
+                thread.start()
+            second()
+            for thread in helpers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            return None, None
+
+        monkeypatch.setattr(_lapack, "_on_two_threads", on_four_threads)
+        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+        routes = []
+
+        def solve():  # on a thread of its own, so that a hang fails the test
+            for k in (7, 60, 400):
+                routes.append(_assert_same_levels(op.diagonal, op.offdiagonal, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            solver = threading.Thread(target=solve, daemon=True)
+            solver.start()
+            solver.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not solver.is_alive()
+        assert routes == ["queue"] * 3
+
+    @pytest.mark.parametrize("budget", [0, 2, 5])
+    def test_exhausted_budget_makes_the_one_call(self, monkeypatch, budget):
+        # with fewer bisection iterations than the one call has, an interval
+        # is left unconverged and that call runs instead
+        real = _lapack._BisectionQueue
+        monkeypatch.setattr(_lapack, "_BisectionQueue", lambda *args: real(*args[:-1], budget))
+        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, 4) == "one call"
+
+    @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001", *_bunched_operators()])
     def test_clipped_64001_point_operators(self, name):
+        op, k = {**_cli_operators(), **_bunched_operators()}[name]
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
+
+    @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001"])
+    def test_upper_end_search_takes_few_counts(self, monkeypatch, name):
+        # the search for WU runs on the calling thread (dlaebz job 3); each
+        # of its calls is run here one step, so one Sturm count, at a time.
+        # The one call's search takes 28 and 26 counts on these operators
         op, k = _cli_operators()[name]
-        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "quarters"
+        real = _lapack.handle().dlaebz
+        counts = []
+
+        def dlaebz(*args):
+            if threading.current_thread() is not threading.main_thread() or _int_argument(args[0]).value != 3:
+                return real(*args)
+            nitmax = _int_argument(args[1])
+            budget, nitmax.value = nitmax.value, 1
+            for _ in range(budget):
+                real(*args)
+                counts.append(1)
+                if _int_argument(args[DLAEBZ_INFO]).value == 0:
+                    break
+            nitmax.value = budget
+
+        counting = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
+        monkeypatch.setattr(_lapack, "handle", lambda: counting)
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
+        assert 1 <= len(counts) <= 10
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both"],
@@ -545,7 +676,7 @@ class TestSameLevelsAsOneDstebzCall:
             assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert solved
         for op, k in solved:
-            assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "quarters"
+            assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
 
     @settings(max_examples=100, deadline=None)
     @given(_tridiagonals(max_n=30), st.sampled_from([None, Grid(0.0, 1.0, 16)]))

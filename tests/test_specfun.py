@@ -74,6 +74,16 @@ class TestJacobi:
         with pytest.raises(ValueError):
             JacobiParams(2, -1.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_params_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must exceed -1"):
+            JacobiParams(2, alpha, beta)
+
+    @pytest.mark.parametrize("x", [math.nan, np.array([0.0, math.nan, 0.5])], ids=["scalar", "array"])
+    def test_nan_argument_fails_domain_guard(self, x):
+        with pytest.raises(ValueError, match=r"argument must lie in \[-1, 1\]"):
+            jacobi(JacobiParams(2, 0.5, 0.5), x)
+
 
 class TestKummer:
     def test_at_zero(self):
@@ -113,6 +123,21 @@ class TestKummer:
             kummer_m(1.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             kummer_m(1.0, -2.0, 1.0)
+
+    @pytest.mark.parametrize("a, b, match", [
+        (math.nan, 1.5, "a and b must be numbers"), (1.0, math.nan, "a and b must be numbers"),
+    ], ids=["a", "b"])
+    @pytest.mark.parametrize("z", [1.0, np.array([0.5, 1.0])], ids=["scalar_z", "array_z"])
+    def test_nan_parameter_rejected(self, a, b, match, z):
+        with pytest.raises(ValueError, match=match):
+            kummer_m(a, b, z)
+
+    @pytest.mark.parametrize("z", [math.nan, np.float64(math.nan), np.array([0.5, math.nan, -2.0])],
+                             ids=["float", "numpy_scalar", "array"])
+    @pytest.mark.parametrize("a", [1.0, -2.0], ids=["series", "terminating"])
+    def test_nan_argument_rejected(self, a, z):
+        with pytest.raises(ValueError, match="z must be a number"):
+            kummer_m(a, 1.5, z)
 
 
 class TestHermite:
