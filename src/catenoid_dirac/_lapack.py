@@ -4,7 +4,7 @@ The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) and
 ``dstein`` (inverse iteration) of the LAPACK that scipy's compiled extension
 ``scipy/linalg/_flapack`` links, opened without importing any scipy module;
 ``lowest_levels``, which walks the bisection tree of one ``dstebz`` call
-from a work queue that two threads share and returns that call's levels bit
+from a work queue that two threads drain and returns that call's levels bit
 for bit; and ``eigenvectors``, which runs ``dstein`` on levels already
 found.  ``numeric`` imports this module on its first eigensolve, so
 importing the package compiles and opens none of it.
@@ -19,7 +19,7 @@ import importlib.util
 import math
 import os
 import threading
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -29,13 +29,11 @@ import numpy as np
 def lowest_levels(d, e, k: int) -> np.ndarray:
     """Levels 1..k of the symmetric tridiagonal (d, e), ascending: those of
     one ``dstebz`` call in index mode with tolerance 0, bit for bit, from
-    the bisection queue of ``_levels_from_queue`` on two threads where it
-    can repeat that call's steps and from the call itself elsewhere."""
+    the two-thread bisection queue of ``_levels_from_queue`` where it can
+    repeat that call's steps and from the call itself elsewhere."""
     d, e = _float_array(d), _float_array(e)
     levels = _levels_from_queue(d, e, k)
-    if levels is None:
-        levels = dstebz(b"I", b"E", d, e, 0.0, 1.0, 1, k, 0.0)[0]
-    return levels
+    return dstebz(b"E", d, e, k)[0] if levels is None else levels
 
 
 def eigenvectors(d, e, levels) -> np.ndarray:
@@ -48,7 +46,7 @@ def eigenvectors(d, e, levels) -> np.ndarray:
     d, e = _float_array(d), _float_array(e)
     n = len(d)
     if _splits(d, e * e):
-        w, iblock, isplit = dstebz(b"I", b"B", d, e, 0.0, 1.0, 1, len(levels), 0.0)
+        w, iblock, isplit = dstebz(b"B", d, e, len(levels))
     else:
         w, iblock, isplit = _float_array(levels), np.ones(len(levels), np.int32), np.array([n], np.int32)
     m = len(w)
@@ -141,14 +139,15 @@ def _float_array(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=float)
 
 
-def dstebz(range_: bytes, order: bytes, d, e, vl, vu, il, iu, abstol):
-    """LAPACK dstebz on contiguous float arrays (d, e): the levels it finds
-    and their block numbers, and the block ends; vl, vu, il, iu and abstol
-    as in LAPACK.  A nonzero info raises LinAlgError."""
+def dstebz(order: bytes, d, e, k: int):
+    """LAPACK dstebz for levels 1..k of contiguous float arrays (d, e), in
+    index mode with tolerance 0 and in order b"E" (ascending) or b"B" (by
+    block): the levels and their block numbers, and the block ends.  A
+    nonzero info raises LinAlgError."""
     n = len(d)
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
     w, iblock, isplit = np.empty(n), np.empty(n, np.int32), np.empty(n, np.int32)
-    _fortran(handle().dstebz, range_, order, n, float(vl), float(vu), int(il), int(iu), float(abstol),
+    _fortran(handle().dstebz, b"I", order, n, 0.0, 1.0, 1, int(k), 0.0,
              d, e, m, nsplit, w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, np.int32), info)
     _check_info(info.value, "dstebz")
     return w[: m.value].copy(), iblock[: m.value], isplit
@@ -166,32 +165,33 @@ def _splits(d: np.ndarray, e2: np.ndarray) -> bool:
 
 def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
     """Levels 1..k of (d, e) as one ``dstebz`` call in index mode with
-    tolerance 0 gives them, computed on two threads; None where that call
-    cannot be repeated this way.
+    tolerance 0 gives them, on two threads; None where that call cannot be
+    repeated this way.
 
-    That call finds WL and WU, with no level at or below WL and k levels at
-    or below WU, by two Sturm-count searches (``dlaebz`` job 3), counts the
-    levels at or below the ends of (WL, WU], clipped to its Gershgorin
-    bounds (job 1), and bisects that interval at midpoints 0.5*(a + b)
-    until each level's interval has converged (job 2).  Here the search for
-    WL runs on a helper thread and the search for WU on the calling thread
-    (``_upper_end``), with the call's set-up arithmetic copied.  Each
-    interval of the bisection then evolves on its own, with the iterations
-    the call has left for it, so two threads walk the call's bisection tree
-    from one queue (``_BisectionQueue``) and every Sturm count is one the
-    call makes.  A matrix that splits, k = n (where ``dstebz`` takes all
-    levels at once), counts at the ends of (WL, WU] other than 0 and k
-    (where it discards levels), an interval the call leaves unconverged and
-    a nonzero ``dlaebz`` info return None.
+    That call searches for WL and WU, with no level at or below WL and k at
+    or below WU (``dlaebz`` job 3), counts the levels at the ends of
+    (WL, WU] clipped to its Gershgorin bounds (job 1), and bisects there at
+    midpoints 0.5*(a + b) until each level's interval has converged (job
+    2).  Its search for WL stops at its start gl, with WL = gl, where the
+    count there is 0; elsewhere the count at the clipped end low >= gl is
+    not 0 either, so the job-1 count at low stands in for that search.  The
+    search for WU runs here (``_upper_end``).  Each interval of the
+    bisection evolves on its own, with the iterations the call has left for
+    it, so two threads walk the call's tree from one queue
+    (``_BisectionQueue``) and every Sturm count is one the call makes.  A
+    matrix that splits, k = n (where ``dstebz`` takes all levels at once),
+    counts at the ends of (low, WU] other than 0 and k (where it discards
+    levels), an interval the call leaves unconverged and a nonzero
+    ``dlaebz`` info return None.
     """
     n = len(d)
     e2 = e * e
     if k == n or _splits(d, e2):
         return None
     pivmin = max(1.0, float(e2.max())) * _TINY
-    # Gershgorin bounds, widened: gl and gu for the searches, low and gu for
+    # Gershgorin bounds, widened: gl and gu for the search, low and gu for
     # the bisection (dstebz forms the latter from |e|, which equals
-    # sqrt(e*e) exactly in binary floating point).  The searches' tolerance
+    # sqrt(e*e) exactly in binary floating point).  The search's tolerance
     # is ulp*tnorm; the bisection's, atoli, dstebz recomputes from its bounds
     root = np.sqrt(e2)
     gl = float(np.min(d - np.r_[0.0, root] - np.r_[root, 0.0]))
@@ -202,26 +202,15 @@ def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     gl, gu = gl - widen - _FUDGE * 2.0 * pivmin, gu + widen + _FUDGE * pivmin
     if not (math.isfinite(gl) and math.isfinite(gu)):
         return None
-    routine = handle().dlaebz
-
-    def dlaebz():
-        return _Dlaebz(routine, d, e, e2, pivmin)
-
-    def lower_end():
-        [(wl, _, nwl, _)], _ = dlaebz().run(
-            3, _iterations(tnorm, pivmin), _ULP * tnorm, gl, gu, -1, n + 1, nval=0, start=gl)
-        return wl, nwl
-
-    (wl, nwl), upper = _on_two_threads(lower_end, lambda: _upper_end(dlaebz(), k, gl, gu, tnorm))
-    if nwl != 0 or upper is None or upper[1] != k:
+    dlaebz = partial(_Dlaebz, handle().dlaebz, d, e, e2, pivmin)
+    wu = _upper_end(dlaebz(), k, gl, gu, tnorm)
+    if wu is None or not low < min(gu, wu):
         return None
-    lo, hi = max(low, wl), min(gu, upper[0])
-    if not lo < hi:
+    hi = min(gu, wu)
+    queue = _BisectionQueue(dlaebz, _ULP * max(abs(low), abs(gu)), k, _iterations(hi - low, pivmin))
+    if not queue.open(low, hi):
         return None
-    queue = _BisectionQueue(dlaebz, _ULP * max(abs(low), abs(gu)), k, _iterations(hi - lo, pivmin))
-    if not queue.open(lo, hi):
-        return None
-    _on_two_threads(queue.drain, queue.drain)
+    _on_two_threads(queue.drain)
     return None if queue.stopped else queue.levels
 
 
@@ -236,8 +225,8 @@ def _converged(a: float, b: float, na: int, nb: int, abstol: float, pivmin: floa
 
 
 def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
-    """(WU, its count) as ``dstebz``'s search for count k finds them, or
-    None where that search would end at no count <= k.
+    """WU as ``dstebz``'s search for count k finds it, or None where that
+    search would end at a count other than k.
 
     The search (job 3 started at gu) halves towards gl, c(j+1) = 0.5*(gl +
     c(j)), until it meets a count <= k, then bisects the last step until
@@ -262,7 +251,7 @@ def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
             first = j
         else:
             before = j
-    if first == len(points):
+    if first == len(points):  # no count <= k
         return None
     # the search's interval after it evaluated points[first]
     a, na = points[first], counts[first]
@@ -272,7 +261,7 @@ def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
     steps = itmax - first - 1
     if steps > 0 and not _converged(a, b, na, nb, abstol, pivmin):
         [(_, b, _, nb)], _ = dlaebz.run(3, steps, abstol, a, b, na, nb, nval=k, start=0.5 * (a + b))
-    return b, nb
+    return b if nb == k else None
 
 
 class _Dlaebz:
@@ -388,26 +377,22 @@ class _BisectionQueue:
         return [(*interval, depth + 1) for interval in out[converged:]]
 
 
-def _on_two_threads(first: Callable, second: Callable) -> tuple:
-    """(first(), second()): first on a new thread, second on this one.
-
-    The new thread is joined before this returns or raises, and an
-    exception that first raised is raised here.
-    """
-    outcome = {}
+def _on_two_threads(work: Callable[[], None]) -> None:
+    """work() on a new thread and on this one at once; the new thread is
+    joined before this returns or raises, and what it raised is raised here."""
+    errors = []
 
     def run():
         try:
-            outcome["value"] = first()
+            work()
         except Exception as exc:  # raised again on the calling thread
-            outcome["error"] = exc
+            errors.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
     try:
-        second_value = second()
+        work()
     finally:
         thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"], second_value
+    if errors:
+        raise errors[0]

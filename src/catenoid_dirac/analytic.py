@@ -422,9 +422,10 @@ def scarf_params_physical(
 def scarf_endpoint_kappa(params: CatenoidParams, m: int) -> tuple[float, float]:
     """Coefficients (kappa at x -> -pi/2, kappa at x -> +pi/2) of the
     endpoint singularity kappa/delta^2 of the Scarf potential, delta being
-    the distance to the end: (m^2-1) -+ (2m+R-4mR)/2.  At an end with
-    kappa < 0 the operator is unbounded below, so a clipped grid has a
-    lowest level that scales like kappa/clip^2.
+    the distance to the end: (m^2-1) -+ (2m+R-4mR)/2.  The operator is
+    unbounded below only at an end with kappa < -1/4, but at any kappa < 0
+    a grid clipped inside its first cell samples kappa/clip^2 there and has
+    a lowest level that scales like it.
     """
     b = 0.5 * (2 * m + params.R - 4 * m * params.R)
     return (m * m - 1) - b, (m * m - 1) + b

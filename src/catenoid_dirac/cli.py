@@ -471,11 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_inputs(args) -> None:
     """Validate every option the subcommand has, through the validated
-    types, before any command runs: R, vf and lambda finite and > 0,
-    n >= 0 (and at most SPECTRUM_POINTS - 3 for numeric spectrum levels),
-    samples >= 2 and finite umin < umax."""
+    types, before any command runs: R, vf and lambda finite and > 0, |m| <=
+    2**53 (m enters every formula as a float), n >= 0 (at most
+    SPECTRUM_POINTS - 3 for numeric levels), samples >= 2, umin < umax."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
+    if hasattr(args, "m") and not abs(args.m) <= 2**53:
+        raise ValueError(f"|--m| must be at most 2**53, got {args.m}")
     if getattr(args, "lam", None) is not None:
         ScarfVF(args.lam)
     if hasattr(args, "n"):

@@ -1,9 +1,8 @@
 """Independent verification engine.
 
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
-eigensolver, ODE residual evaluation, the trapezoid norm, node and maxima
-counting, and bracketed root finding.  Everything here is oblivious to the
-closed-form results it is used to check.
+eigensolver, 5-point derivatives, the trapezoid norm and bracketed root
+finding, all oblivious to the closed-form results they are used to check.
 
 The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
 ``dlaebz``) and inverse iteration (``dstein``), called through ctypes from
@@ -31,11 +30,9 @@ __all__ = [
     "discretize",
     "discretize_sturm_liouville",
     "eigen_tridiagonal",
-    "ode_residual",
     "second_derivative",
     "first_derivative",
     "trapezoid_norm",
-    "count_features",
     "solve_bracketed",
 ]
 
@@ -148,12 +145,12 @@ def eigen_tridiagonal(
     with tolerance 0, the call ``scipy.linalg.eigh_tridiagonal(d, e,
     eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  Two
     threads walk that call's bisection tree from one work queue
-    (``_lapack.lowest_levels``), making the call's own Sturm counts and fewer
-    in its search for the upper end of the levels' interval; the second
-    thread saves time when a second core is free.  The entries of op must be
-    finite and k an integer in [1, len(op.diagonal)].  Eigenvectors are
-    solved for only when the result's ``eigenvectors`` is first read (see
-    SpectrumResult).
+    (``_lapack.lowest_levels``), with the call's own Sturm counts, fewer in
+    its search for the upper end of the levels' interval and none in that
+    for the lower end; the second thread saves time when a second core is
+    free.  The entries of op must be finite and k an integer in [1,
+    len(op.diagonal)].  Eigenvectors are solved for only when the result's
+    ``eigenvectors`` is first read (see SpectrumResult).
     """
     d, e = op.diagonal, op.offdiagonal
     n = len(d)
@@ -194,19 +191,6 @@ def first_derivative(f: np.ndarray, h: float) -> np.ndarray:
     return d1
 
 
-def ode_residual(f: np.ndarray, V, E: float, grid: Grid) -> float:
-    """Sup norm of (-f'' + V f - E f)/||f||_inf over interior points."""
-    f = np.asarray(f)
-    if len(f) != grid.count:
-        raise ValueError("sample count does not match grid")
-    v = V(grid.points) if callable(V) else np.asarray(V)
-    res = -second_derivative(f, grid.h) + v * f - E * f
-    scale = np.max(np.abs(f))
-    if scale == 0.0:
-        raise ValueError("zero function has no normalized residual")
-    return float(np.max(np.abs(res[2:-2])) / scale)
-
-
 def trapezoid_norm(values, u, weight=1.0) -> float:
     """sqrt of the trapezoid integral of weight*values^2 over the samples u.
 
@@ -216,34 +200,6 @@ def trapezoid_norm(values, u, weight=1.0) -> float:
     if norm == 0.0:
         raise ValueError("cannot normalize a function whose weighted norm on the grid is zero")
     return norm
-
-
-def count_features(f: np.ndarray) -> tuple[int, int]:
-    """(interior sign changes of f, local maxima of |f|^2 above 1e-9*peak).
-
-    Samples with |f| below 1e-9 of the peak are treated as zero so that
-    round-off noise in eigenvector tails does not register as features.
-    Plateaus (including a constant function) count as a single maximum.
-    Non-finite samples raise ValueError.
-    """
-    f = np.asarray(f)
-    if len(f) < 3:
-        raise ValueError("need at least 3 samples")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("samples are not finite")
-    peak = np.max(np.abs(f))
-    if peak == 0.0:
-        return 0, 0
-    sign = np.sign(np.where(np.abs(f) > 1e-9 * peak, f, 0.0))
-    nz = sign[sign != 0]
-    changes = int(np.sum(nz[:-1] * nz[1:] < 0))
-    d = np.abs(f) ** 2
-    floor = 1e-9 * np.max(d)
-    # collapse each plateau to one sample, then count strict local maxima
-    c = d[np.r_[True, d[1:] != d[:-1]]]
-    e = np.r_[-np.inf, c, -np.inf]
-    maxima = int(np.sum((c > e[:-2]) & (c > e[2:]) & (c > floor)))
-    return changes, maxima
 
 
 def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:

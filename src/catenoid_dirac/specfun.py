@@ -109,20 +109,20 @@ def kummer_m(a: float, b: float, z):
     growing ones: M(1e-20, 1, 50) = 2.0586, not the 1.0 of its first term.
     A scalar z returns a float; an array z is summed in one loop over the
     elements that have not yet converged and returns an array of its shape.
-    A NaN a, b or z, scalar or in an array, raises ValueError.
+    A NaN or infinite a, b or z, scalar or in an array, raises ValueError.
     """
-    if math.isnan(a) or math.isnan(b):
-        raise ValueError(f"a and b must be numbers, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be numbers and finite, got a={a}, b={b}")
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
     if _is_scalar(z):
         z = float(z)
-        if math.isnan(z):
-            raise ValueError(f"z must be a number, got {z}")
+        if not math.isfinite(z):
+            raise ValueError(f"z must be a number and finite, got {z}")
         return _kummer_scalar(a, b, z)
     z = np.asarray(z, dtype=float)
-    if np.isnan(z).any():
-        raise ValueError("z must be a number, got an array that holds NaN")
+    if not np.isfinite(z).all():
+        raise ValueError("z must be a number and finite, got an array that holds NaN or an infinity")
     out = np.empty_like(z)
     # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
     flip = (z < 0.0) & (not _terminates(a))
@@ -201,16 +201,18 @@ def hermite(n: int, x):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
+    """ln Gamma(x) for x > 0; any other x, NaN too, raises ValueError."""
+    if not x > 0.0:  # written so that NaN fails it too
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
     return math.lgamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for any real x; zero at the poles."""
+    """1/Gamma(x) for real x > -inf, zero at the poles; NaN raises ValueError."""
     if x > 0.0:
         return math.exp(-log_gamma(x))
+    if not x > -math.inf:  # written so that NaN fails it too
+        raise ValueError(f"reciprocal_gamma requires a real argument, got {x}")
     if x == int(x):
         return 0.0
     # reflection: 1/Gamma(x) = Gamma(1-x)*sin(pi*x)/pi

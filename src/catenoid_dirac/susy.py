@@ -50,9 +50,6 @@ class FactorizedSystem:
     grid: Grid
     dW: Callable
 
-    def partner_potentials(self, u):
-        return partner_potentials_from_W(self.W, u, dW=self.dW)
-
 
 def catenoid_system(params: CatenoidParams, m: int, grid: Grid) -> FactorizedSystem:
     """Factorized system for the bridge superpotential m/sqrt(R^2+u^2)."""
@@ -124,7 +121,7 @@ def check_intertwining(sys: FactorizedSystem, f: WavefunctionSamples) -> float:
     _require_same_grid(sys, f)
     u = sys.grid.points
     h = sys.grid.h
-    u1, u2 = sys.partner_potentials(u)
+    u1, u2 = partner_potentials_from_W(sys.W, u, dW=sys.dW)
 
     def ham(v, pot):
         return -second_derivative(v, h) + pot * v

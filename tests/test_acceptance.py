@@ -30,7 +30,6 @@ from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import (
     Grid,
     WavefunctionSamples,
-    count_features,
     discretize,
     discretize_sturm_liouville,
     eigen_tridiagonal,
@@ -57,6 +56,7 @@ from catenoid_dirac.susy import (
     catenoid_ground_state_derivative,
     catenoid_system,
 )
+from fd_oracles import count_features
 
 R1 = CatenoidParams(1.0)
 

@@ -33,15 +33,10 @@ from catenoid_dirac.analytic import (
 )
 from catenoid_dirac.analytic import ScarfParams
 from catenoid_dirac.geometry import CatenoidParams
-from catenoid_dirac.numeric import (
-    Grid,
-    count_features,
-    first_derivative,
-    ode_residual,
-    second_derivative,
-)
+from catenoid_dirac.numeric import Grid, first_derivative, second_derivative
 from catenoid_dirac.potentials import scarf_form_pdfv
 from catenoid_dirac.specfun import kummer_m, parabolic_cylinder_d
+from fd_oracles import count_features, ode_residual
 
 R1 = CatenoidParams(1.0)
 

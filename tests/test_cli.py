@@ -258,7 +258,7 @@ class TestReportFigures:
 
     def test_companion_structure_matches_numeric(self, tmp_path):
         # density of level n at valid parameters carries n+1 humps
-        from catenoid_dirac.numeric import count_features
+        from fd_oracles import count_features
 
         out = tmp_path / "fig.csv"
         main(["report-figures", "--allow-invalid", "--samples", "2001",
@@ -335,6 +335,10 @@ REJECTED_INPUTS = [
     ["wavefunction", "--m", "3", "--n", "1", "--R", "1e200"],
     ["spectrum", "--R", "1", "--m", "3", "--n", "4000", "--mode", "both"],
     ["spectrum", "--m", "2", "--lambda", "1", "--n", "3999", "--mode", "numeric"],
+    # an m that no float holds exactly
+    ["potentials", "--m", str(10**200)],
+    ["susy-check", "--m", str(10**200)],
+    ["spectrum", "--lambda", "1", "--m", str(10**80)],
 ]
 
 

@@ -23,17 +23,16 @@ from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import (
     Grid,
     TridiagonalOperator,
-    count_features,
     discretize,
     discretize_sturm_liouville,
     eigen_tridiagonal,
     first_derivative,
-    ode_residual,
     second_derivative,
     solve_bracketed,
     trapezoid_norm,
 )
 from catenoid_dirac.potentials import partner_potentials_from_W, scarf_form_pdfv
+from fd_oracles import count_features, ode_residual
 
 rng = np.random.default_rng(7)
 
@@ -179,9 +178,9 @@ class TestEigenTridiagonal:
         called = []
         real = _lapack.dstebz
 
-        def spy(range_, order, *args):
+        def spy(order, *args):
             called.append(order)
-            return real(range_, order, *args)
+            return real(order, *args)
 
         with mock.patch.object(_lapack, "dstebz", spy):
             vecs = res.eigenvectors
@@ -284,14 +283,14 @@ class TestFlapack:
         with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = -3"):
             eigen_tridiagonal(op, 2)
 
-    @pytest.mark.parametrize("thread", ["calling", "helper"])
-    def test_failure_on_either_thread_raises_and_joins(self, monkeypatch, thread):
-        # the searches for the ends of (WL, WU] run one per thread (dlaebz
-        # job 3), then both threads bisect from one queue (job 2); a call
-        # that raises on either thread in either phase reaches the caller
+    @pytest.mark.parametrize("thread, jobs", [("calling", (3, 2)), ("helper", (2,))], ids=["calling", "helper"])
+    def test_failure_on_either_thread_raises_and_joins(self, monkeypatch, thread, jobs):
+        # the search for WU runs on the calling thread (dlaebz job 3), then
+        # both threads bisect from one queue (job 2); a call that raises on
+        # either thread in either phase reaches the caller
         real = _lapack.handle().dlaebz
         op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
-        for job in (3, 2):
+        for job in jobs:
             def dlaebz(*args, job=job):
                 on_calling = threading.current_thread() is threading.main_thread()
                 if _int_argument(args[0]).value == job:
@@ -495,16 +494,16 @@ def _levels_and_route(d, e, k):
     """eigen_tridiagonal's levels and how they were found: "queue" (the
     bisection queue on two threads, no dstebz call) or "one call" (index
     mode)."""
-    ranges = []
+    orders = []
     real = _lapack.dstebz
 
-    def spy(range_, *args):
-        ranges.append(range_)
-        return real(range_, *args)
+    def spy(order, *args):
+        orders.append(order)
+        return real(order, *args)
 
     with mock.patch.object(_lapack, "dstebz", spy):
         levels = eigen_tridiagonal(TridiagonalOperator(d, e), k).eigenvalues
-    route = {(): "queue", (b"I",): "one call"}[tuple(ranges)]
+    route = {(): "queue", (b"E",): "one call"}[tuple(orders)]
     return levels, route
 
 
@@ -586,19 +585,14 @@ class TestSameLevelsAsOneDstebzCall:
     def test_queue_drained_by_more_threads_than_cores(self, monkeypatch):
         # four threads on the queue, switching as often as the interpreter
         # allows: a lost or doubled interval would change or leave out levels
-        real = _lapack._on_two_threads
-
-        def on_four_threads(first, second):
-            if first != second:  # the searches
-                return real(first, second)
-            helpers = [threading.Thread(target=first, daemon=True) for _ in range(3)]
+        def on_four_threads(work):
+            helpers = [threading.Thread(target=work, daemon=True) for _ in range(3)]
             for thread in helpers:
                 thread.start()
-            second()
+            work()
             for thread in helpers:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
-            return None, None
 
         monkeypatch.setattr(_lapack, "_on_two_threads", on_four_threads)
         op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
@@ -618,6 +612,32 @@ class TestSameLevelsAsOneDstebzCall:
             sys.setswitchinterval(interval)
         assert not solver.is_alive()
         assert routes == ["queue"] * 3
+
+    def test_queue_solve_starts_one_thread_and_searches_on_the_calling_one(self, monkeypatch):
+        # the only thread a queue solve starts is the bisection's helper,
+        # and no search (dlaebz job 3) runs on it
+        real = _lapack.handle().dlaebz
+        off_calling = []
+
+        def dlaebz(*args):
+            if threading.current_thread() is not threading.main_thread():
+                off_calling.append(_int_argument(args[0]).value)
+            real(*args)
+
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        spying = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
+        monkeypatch.setattr(_lapack, "handle", lambda: spying)
+        monkeypatch.setattr(threading, "Thread", Thread)
+        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, 7) == "queue"
+        assert len(started) == 1
+        assert 3 not in off_calling
 
     @pytest.mark.parametrize("budget", [0, 2, 5])
     def test_exhausted_budget_makes_the_one_call(self, monkeypatch, budget):

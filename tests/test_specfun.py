@@ -139,6 +139,24 @@ class TestKummer:
         with pytest.raises(ValueError, match="z must be a number"):
             kummer_m(a, 1.5, z)
 
+    # an infinite b used to overflow in int(b), an infinite a in int(a) or
+    # after 500 terms of the series
+    @pytest.mark.parametrize("a, b", [
+        (math.inf, 1.5), (-math.inf, 1.5), (1.0, math.inf), (1.0, -math.inf),
+    ], ids=["a_inf", "a_minus_inf", "b_inf", "b_minus_inf"])
+    @pytest.mark.parametrize("z", [1.0, np.array([0.5, 1.0])], ids=["scalar_z", "array_z"])
+    def test_infinite_parameter_rejected(self, a, b, z):
+        with pytest.raises(ValueError, match="a and b must be numbers and finite"):
+            kummer_m(a, b, z)
+
+    # an infinite z used to run 500 terms of the series and raise ArithmeticError
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, np.float64(-math.inf), np.array([0.5, math.inf])],
+                             ids=["inf", "minus_inf", "numpy_scalar", "array"])
+    @pytest.mark.parametrize("a", [1.0, -2.0], ids=["series", "terminating"])
+    def test_infinite_argument_rejected(self, a, z):
+        with pytest.raises(ValueError, match="z must be a number and finite"):
+            kummer_m(a, 1.5, z)
+
 
 class TestHermite:
     def test_values(self):
@@ -163,6 +181,16 @@ class TestLogGamma:
     def test_domain(self):
         with pytest.raises(ValueError):
             log_gamma(0.0)
+
+    @pytest.mark.parametrize("call, x", [
+        (log_gamma, math.nan),  # returned NaN
+        (log_gamma, -math.inf),
+        (reciprocal_gamma, math.nan),  # failed inside int()
+        (reciprocal_gamma, -math.inf),  # overflowed in int()
+    ], ids=["log_gamma_nan", "log_gamma_minus_inf", "reciprocal_gamma_nan", "reciprocal_gamma_minus_inf"])
+    def test_nan_and_minus_inf_rejected(self, call, x):
+        with pytest.raises(ValueError, match="requires a (positive|real) argument"):
+            call(x)
 
     def test_reciprocal_gamma_poles(self):
         assert reciprocal_gamma(0.0) == 0.0
