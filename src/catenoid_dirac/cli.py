@@ -1,12 +1,13 @@
 """Command-line exports: potentials, spectra, wavefunctions, SUSY reports.
 
 Every data file gets a JSON manifest sidecar at <out>.manifest.json with
-the tool version, full parameter echo, truncation metadata, and any
-validity flags raised during the run.  CSV uses 17 significant digits so
-files round-trip bit-exactly.  A table of two or more CSV_BLOCK_ROWS blocks
-is formatted in two processes: a stdlib-only child interpreter formats the
-later half of the rows while this process formats the earlier half, and the
-file holds the same bytes as from one process.
+the tool version, the command, every parsed option but --out and --format,
+truncation metadata, and any validity flags raised during the run.  CSV
+uses 17 significant digits so files round-trip bit-exactly.  A table of two
+or more CSV_BLOCK_ROWS blocks is formatted in two processes: a stdlib-only
+child interpreter formats the later half of the rows while this process
+formats the earlier half, and the file holds the same bytes as from one
+process.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import shutil
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,6 @@ from .analytic import (
 from .geometry import CatenoidParams
 from .numeric import (
     Grid,
-    WavefunctionSamples,
     discretize,
     discretize_sturm_liouville,
     eigen_tridiagonal,
@@ -57,7 +58,6 @@ from .susy import (
     apply_ladder,
     catenoid_ground_state,
     catenoid_ground_state_derivative,
-    catenoid_system,
     check_intertwining,
 )
 
@@ -133,31 +133,26 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out: Path, command: str, params: dict, truncation: dict,
-                    validity_flags: list[str]) -> None:
+def _write_manifest(out: Path, args, truncation: dict, validity_flags: list[str], **extra) -> None:
+    """<out>.manifest.json.  Its parameters are every parsed option but
+    --out and --format, which only say where and how the data are written,
+    plus ``extra``."""
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out", "format")}
     _write_json(
         Path(str(out) + ".manifest.json"),
         {
             "tool_version": __version__,
-            "command": command,
-            "parameters": params,
+            "command": args.command,
+            "parameters": {**params, **extra},
             "truncation": truncation,
             "validity_flags": validity_flags,
         },
     )
 
 
-def _u_grid(args) -> np.ndarray:
-    return np.linspace(args.umin, args.umax, args.samples)
-
-
-def _params_echo(args, keys) -> dict:
-    return {k: getattr(args, k) for k in keys}
-
-
 def cmd_potentials(args) -> int:
     params = CatenoidParams(args.R)
-    u = _u_grid(args)
+    u = np.linspace(args.umin, args.umax, args.samples)
     header = ["u", "V_eff1", "V_eff2", "W"]
     # V_eff2, the second spinor component, is V_eff1 at -m
     columns = [u, v_eff(params, args.m, u), v_eff(params, -args.m, u),
@@ -167,9 +162,7 @@ def cmd_potentials(args) -> int:
         columns.append(u_eff(ScarfVF(args.lam), params, args.m, u))
     out = Path(args.out)
     flags = _write_csv(out, header, columns)
-    echo = _params_echo(args, ["R", "m", "vf", "lam", "umin", "umax", "samples"])
-    _write_manifest(out, "potentials", echo,
-                    {"domain": [args.umin, args.umax], "samples": args.samples}, flags)
+    _write_manifest(out, args, {"domain": [args.umin, args.umax], "samples": args.samples}, flags)
     return 0
 
 
@@ -247,20 +240,19 @@ def cmd_spectrum(args) -> int:
         _write_csv(out, keys, cols)  # NaN cells are placeholders, flagged above
     else:
         _write_json(out, payload)
-    echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "mode"])
     domain = None
     if args.mode != "analytic":
         domain = (f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], "
                   f"{SPECTRUM_POINTS} points" if pdfv
                   else f"compact coordinate, {SPECTRUM_POINTS} points")
-    _write_manifest(out, "spectrum", echo, {"numeric_domain": domain}, validity_flags)
+    _write_manifest(out, args, {"numeric_domain": domain}, validity_flags)
     return 0
 
 
 def cmd_wavefunction(args) -> int:
     params = CatenoidParams(args.R)
     qn = QuantumNumbers(args.n, args.m)
-    u = _u_grid(args)
+    u = np.linspace(args.umin, args.umax, args.samples)
     pdfv = args.lam is not None
     # realness check: the Scarf parameters, or the constant-velocity level
     branch = (scarf_params_physical(params, args.m, args.lam) if pdfv
@@ -280,9 +272,8 @@ def cmd_wavefunction(args) -> int:
     density = vals**2
     out = Path(args.out)
     validity_flags += _write_csv(out, ["u", "value", "density"], [u, vals, density])
-    echo = _params_echo(args, ["R", "m", "n", "vf", "lam", "umin", "umax", "samples", "allow_invalid"])
     _write_manifest(
-        out, "wavefunction", echo,
+        out, args,
         {
             "domain": [args.umin, args.umax],
             "samples": args.samples,
@@ -329,25 +320,21 @@ def cmd_susy_check(args) -> int:
         checks += [_check("ground_state_at_zero", abs(ground), 1e-3),
                    _check("partner_shift", worst, 1e-3)]
     else:
+        W = partial(superpotential, params, args.m)
+        dW = partial(superpotential_derivative, params, args.m)
         u = np.linspace(-10.0, 10.0, 1001)
-        w_val = superpotential(params, args.m, u)
-        dw_val = superpotential_derivative(params, args.m, u)
-        v1, v2 = v_eff(params, args.m, u), v_eff(params, -args.m, u)
+        v1, v2 = partner_potentials_from_W(W, u, dW)  # W^2 - W' and W^2 + W'
         checks += [
-            _check("partner_identity_minus", float(np.max(np.abs(w_val**2 - dw_val - v1))), 1e-12),
-            _check("partner_identity_plus", float(np.max(np.abs(w_val**2 + dw_val - v2))), 1e-12),
+            _check("partner_identity_minus", float(np.max(np.abs(v1 - v_eff(params, args.m, u)))), 1e-12),
+            _check("partner_identity_plus", float(np.max(np.abs(v2 - v_eff(params, -args.m, u)))), 1e-12),
         ]
 
         grid = Grid(-5.0, 5.0, 2001)
-        sys_u = catenoid_system(params, args.m, grid)
         chi0 = catenoid_ground_state(params, args.m, grid.points)
         dchi0 = catenoid_ground_state_derivative(params, args.m, grid.points)
-        ann = apply_ladder(sys_u, LadderDirection.LOWERING,
-                           WavefunctionSamples(grid=grid, values=chi0), derivative=dchi0)
-        checks.append(_check("zero_mode_annihilation", float(np.max(np.abs(ann.values))), 1e-8))
-
-        probe = WavefunctionSamples(grid=grid, values=np.exp(-grid.points**2))
-        checks.append(_check("intertwining", float(check_intertwining(sys_u, probe)), 1e-3))
+        ann = apply_ladder(W, grid, LadderDirection.LOWERING, chi0, derivative=dchi0)
+        checks.append(_check("zero_mode_annihilation", float(np.max(np.abs(ann))), 1e-8))
+        checks.append(_check("intertwining", check_intertwining(W, dW, grid, np.exp(-grid.points**2)), 1e-3))
 
         # isospectral shift table on the exactly solvable Scarf pair of the
         # position-dependent-velocity problem
@@ -370,8 +357,7 @@ def cmd_susy_check(args) -> int:
               "failures": failures}
     out = Path(args.out)
     _write_json(out, report)
-    echo = _params_echo(args, ["R", "m", "vf", "lam", "mode"])
-    _write_manifest(out, "susy-check", echo, {}, validity_flags)
+    _write_manifest(out, args, {}, validity_flags)
     return 0 if not failures else 1
 
 
@@ -390,7 +376,7 @@ def cmd_report_figures(args) -> int:
             f"check ({caveat}); rerun with --allow-invalid to apply the "
             "documented absolute-value regularization"
         )
-    u = _u_grid(args)
+    u = np.linspace(args.umin, args.umax, args.samples)
     out = Path(args.out)
     companion = out.with_name(out.stem + "_companion" + (out.suffix or ".csv"))
 
@@ -408,13 +394,10 @@ def cmd_report_figures(args) -> int:
     header = ["u"] + [f"density_n{n}" for n in FIGURE_LEVELS]
     flags = _write_csv(out, header, [u] + densities(FIGURE_M, True))
     companion_flags = _write_csv(companion, header, [u] + densities(COMPANION_M, False))
-    echo = _params_echo(args, ["R", "vf", "umin", "umax", "samples", "allow_invalid"])
     trunc = {"domain": [args.umin, args.umax], "samples": args.samples,
              "regularization": "negative radicands replaced by absolute values"}
-    _write_manifest(out, "report-figures", {**echo, "m": FIGURE_M},
-                    trunc, [f"validity caveat: {caveat}", *flags])
-    _write_manifest(companion, "report-figures", {**echo, "m": COMPANION_M}, trunc,
-                    companion_flags)
+    _write_manifest(out, args, trunc, [f"validity caveat: {caveat}", *flags], m=FIGURE_M)
+    _write_manifest(companion, args, trunc, companion_flags, m=COMPANION_M)
     return 0
 
 
@@ -473,7 +456,8 @@ def _check_inputs(args) -> None:
     """Validate every option the subcommand has, through the validated
     types, before any command runs: R, vf and lambda finite and > 0, |m| <=
     2**53 (m enters every formula as a float), n >= 0 (at most
-    SPECTRUM_POINTS - 3 for numeric levels), samples >= 2, umin < umax."""
+    SPECTRUM_POINTS - 3 for numeric levels, below samples for a profile,
+    whose n nodes fewer samples cannot resolve), samples >= 2, umin < umax."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
     if hasattr(args, "m") and not abs(args.m) <= 2**53:
@@ -489,6 +473,8 @@ def _check_inputs(args) -> None:
     if hasattr(args, "samples"):
         if args.samples < 2:
             raise ValueError("need at least 2 samples")
+        if getattr(args, "n", -1) >= args.samples:
+            raise ValueError(f"--n must be below --samples ({args.samples}), got {args.n}")
         if not -math.inf < args.umin < args.umax < math.inf:
             raise ValueError(f"need finite umin < umax, got umin={args.umin}, umax={args.umax}")
 

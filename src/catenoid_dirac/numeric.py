@@ -3,6 +3,8 @@
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
 eigensolver, 5-point derivatives, the trapezoid norm and bracketed root
 finding, all oblivious to the closed-form results they are used to check.
+``WavefunctionSamples`` pairs sampled values with their grid, as
+``analytic.energy_dependent_branch`` returns them.
 
 The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
 ``dlaebz``) and inverse iteration (``dstein``), called through ctypes from

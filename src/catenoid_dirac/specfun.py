@@ -109,18 +109,23 @@ def kummer_m(a: float, b: float, z):
     growing ones: M(1e-20, 1, 50) = 2.0586, not the 1.0 of its first term.
     A scalar z returns a float; an array z is summed in one loop over the
     elements that have not yet converged and returns an array of its shape.
-    A NaN or infinite a, b or z, scalar or in an array, raises ValueError.
+    A NaN or infinite a, b or z, scalar or in an array, raises ValueError, as
+    does a Python int beyond the float range.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    scalar = _is_scalar(z)
+    try:
+        finite = math.isfinite(a) and math.isfinite(b)
+        z = float(z) if scalar else np.asarray(z, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        raise ValueError("a, b and z must lie in the float range") from None
+    if not finite:
         raise ValueError(f"a and b must be numbers and finite, got a={a}, b={b}")
     if b <= 0.0 and b == int(b):
         raise ValueError(f"b must not be a non-positive integer, got {b}")
-    if _is_scalar(z):
-        z = float(z)
+    if scalar:
         if not math.isfinite(z):
             raise ValueError(f"z must be a number and finite, got {z}")
         return _kummer_scalar(a, b, z)
-    z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("z must be a number and finite, got an array that holds NaN or an infinity")
     out = np.empty_like(z)
@@ -201,14 +206,17 @@ def hermite(n: int, x):
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0; any other x, NaN too, raises ValueError."""
+    """ln Gamma(x) for 0 < x < ~2.56e305; any other x, NaN too, raises ValueError."""
     if not x > 0.0:  # written so that NaN fails it too
         raise ValueError(f"log_gamma requires a positive argument, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # also for a Python int beyond the float range
+        raise ValueError("log_gamma of this argument exceeds the float range") from None
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for real x > -inf, zero at the poles; NaN raises ValueError."""
+    """1/Gamma(x) for real -inf < x < ~2.56e305, zero at the poles; others raise ValueError."""
     if x > 0.0:
         return math.exp(-log_gamma(x))
     if not x > -math.inf:  # written so that NaN fails it too
@@ -232,7 +240,10 @@ def parabolic_cylinder_d(nu: float, z):
     is_int = nu >= 0.0 and nu == int(nu)
     z_max = _PCF_MAX_Z if is_int else _PCF_MAX_Z_NONINTEGER
     scalar = _is_scalar(z)
-    z = float(z) if scalar else np.asarray(z, dtype=float)
+    try:
+        z = float(z) if scalar else np.asarray(z, dtype=float)
+    except OverflowError:  # a Python int beyond the float range
+        z = math.inf
     if not (abs(z) <= z_max if scalar else np.all(np.abs(z) <= z_max)):
         raise ValueError(f"argument out of supported range |z| <= {z_max} for nu={nu}")
     pre = 2.0 ** (nu / 2.0) * (math.exp if scalar else np.exp)(-z * z / 4.0)

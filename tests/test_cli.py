@@ -315,6 +315,41 @@ def test_unread_option_rejected(tmp_path, argv):
     assert not out.exists()
 
 
+# each subcommand's options (argparse dests) but --out and --format
+ECHOED_OPTIONS = {
+    "potentials": {"R", "m", "lam", "vf", "umin", "umax", "samples"},
+    "spectrum": {"R", "m", "lam", "vf", "n", "mode"},
+    "wavefunction": {"R", "m", "lam", "vf", "n", "umin", "umax", "samples", "allow_invalid"},
+    "susy-check": {"R", "m", "lam", "vf", "mode"},
+    "report-figures": {"R", "vf", "umin", "umax", "samples", "allow_invalid"},
+}
+
+
+# argv, and the extra parameters of each manifest it writes
+ECHO_CASES = [
+    (["potentials", "--R", "1", "--m", "3"], {"pots.csv": {}}),
+    (["potentials", "--m", "-2", "--lambda", "0.8", "--samples", "51"], {"pots.csv": {}}),
+    (["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "analytic"], {"s.json": {}}),
+    (["spectrum", "--mode", "both", "--format", "csv"], {"s.csv": {}}),
+    (["spectrum", "--lambda", "1", "--mode", "both"], {"s.json": {}}),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], {"wf.csv": {}}),
+    (["wavefunction", "--m", "2", "--lambda", "1", "--n", "1"], {"wf.csv": {}}),
+    (["susy-check", "--mode", "harmonic"], {"r.json": {}}),
+    (["susy-check", "--lambda", "1"], {"r.json": {}}),
+    (["report-figures", "--allow-invalid"], {"fig.csv": {"m": -2}, "fig_companion.csv": {"m": 3}}),
+]
+
+
+@pytest.mark.parametrize("argv, manifests", ECHO_CASES, ids=[" ".join(argv) for argv, _ in ECHO_CASES])
+def test_manifest_echoes_parsed_options(tmp_path, argv, manifests):
+    parsed = vars(build_parser().parse_args(argv + ["--out", "x"]))
+    assert main(argv + ["--out", str(tmp_path / next(iter(manifests)))]) == 0
+    for name, extra in manifests.items():
+        manifest = read_manifest(tmp_path / name)
+        assert manifest["command"] == argv[0]
+        assert manifest["parameters"] == {**{k: parsed[k] for k in ECHOED_OPTIONS[argv[0]]}, **extra}
+
+
 # values outside the input contract (R, vf, lambda finite and > 0; R^2 a
 # finite normal float; n >= 0; samples >= 2; finite umin < umax), each
 # refused before any file is written
@@ -339,6 +374,9 @@ REJECTED_INPUTS = [
     ["potentials", "--m", str(10**200)],
     ["susy-check", "--m", str(10**200)],
     ["spectrum", "--lambda", "1", "--m", str(10**80)],
+    # a degree-n profile has n nodes; 10**20 recurrence steps never returned
+    ["wavefunction", "--m", "3", "--n", str(10**20)],
+    ["wavefunction", "--m", "3", "--n", str(10**400)],
 ]
 
 

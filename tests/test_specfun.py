@@ -198,6 +198,25 @@ class TestLogGamma:
         assert abs(reciprocal_gamma(0.5) - 1.0 / math.sqrt(math.pi)) < 1e-14
 
 
+# a Python int beyond the float range used to escape as OverflowError from
+# the float conversion
+@pytest.mark.parametrize("call, args", [
+    (kummer_m, (10**400, 1.5, 1.0)),
+    (kummer_m, (1.0, 10**400, 1.0)),
+    (kummer_m, (1.0, 1.5, 10**400)),
+    (kummer_m, (1.0, 1.5, [0.5, 10**400])),
+    (log_gamma, (10**400,)),
+    (log_gamma, (1e306,)),  # ln Gamma itself overflows
+    (reciprocal_gamma, (10**400,)),
+    (parabolic_cylinder_d, (1.0, 10**400)),
+    (parabolic_cylinder_d, (1.0, [0.5, 10**400])),
+], ids=["kummer_a", "kummer_b", "kummer_scalar_z", "kummer_array_z", "log_gamma_int",
+        "log_gamma_float", "reciprocal_gamma", "pcf_scalar_z", "pcf_array_z"])
+def test_beyond_float_range_raises_value_error(call, args):
+    with pytest.raises(ValueError, match="float range|supported range"):
+        call(*args)
+
+
 class TestParabolicCylinder:
     def test_values(self):
         assert abs(parabolic_cylinder_d(0.0, 0.0) - 1.0) < 1e-14
