@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import CatenoidParams
 from .numeric import Grid, WavefunctionSamples, solve_bracketed
-from .potentials import ScarfVF, _check_x, _rspace_potential, fermi_velocity
+from .potentials import ScarfVF, _check_x, _rspace_potential
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
 __all__ = [
@@ -125,7 +125,8 @@ def energy_constant_case(
 ) -> EnergyLevel:
     """|E_n| = v_F/(2*sqrt(2)*R) * sqrt(radicand) for the polynomial branch.
 
-    Invalid when M1 or M2 is complex or the radicand is negative.
+    Invalid when M1 or M2 is complex, the radicand is negative or |E_n|
+    is not finite.
     """
     jp = jacobi_branch_params(qn.m)
     if not jp.all_real:
@@ -137,7 +138,15 @@ def energy_constant_case(
             valid=False,
             reason=f"energy radicand {rad:g} is negative",
         )
-    return EnergyLevel(value=v_F / (2.0 * math.sqrt(2.0) * params.R) * math.sqrt(rad), valid=True)
+    return _finite_level(v_F / (2.0 * math.sqrt(2.0) * params.R) * math.sqrt(rad))
+
+
+def _finite_level(value: float) -> EnergyLevel:
+    """A valid level, or an invalid one where the velocity scale over R
+    overflows."""
+    if math.isfinite(value):
+        return EnergyLevel(value, valid=True)
+    return EnergyLevel(math.nan, valid=False, reason=f"|E| = {value:g} is not finite")
 
 
 def _branch_or_regularized(m: int, allow_invalid: bool) -> JacobiBranchParams:
@@ -199,14 +208,14 @@ def constant_case_epsilon_sq(qn: QuantumNumbers) -> float:
     return _constant_case_radicand(jp, qn.n) / 8.0
 
 
-def zero_energy_solution(m: int, x, amplitude: float = 1.0):
+def zero_energy_solution(m: int, x):
     """Zero-energy mode of the x-space problem.
 
-    amplitude * [1+exp(2ix)]^2 * exp(-2i*[x - m*arctan(exp(ix))]),
-    complex-valued, finite on compact subsets of (-pi/2, pi/2).
+    [1+exp(2ix)]^2 * exp(-2i*[x - m*arctan(exp(ix))]), complex-valued,
+    finite on compact subsets of (-pi/2, pi/2).
     """
     x = _check_x(x)
-    return amplitude * (1.0 + np.exp(2j * x)) ** 2 * np.exp(-2j * (x - m * np.arctan(np.exp(1j * x))))
+    return (1.0 + np.exp(2j * x)) ** 2 * np.exp(-2j * (x - m * np.arctan(np.exp(1j * x))))
 
 
 def near_origin_quantization(n: int, m: int) -> EnergyLevel:
@@ -432,7 +441,8 @@ def scarf_endpoint_kappa(params: CatenoidParams, m: int) -> tuple[float, float]:
 
 
 def energy_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers) -> EnergyLevel:
-    """|E_n| = (lam/R) sqrt((A+n)^2 - 1); invalid when (A+n)^2 < 1."""
+    """|E_n| = (lam/R) sqrt((A+n)^2 - 1); invalid when (A+n)^2 < 1 or
+    |E_n| is not finite."""
     if not scarf.valid or math.isnan(scarf.A):
         return EnergyLevel(math.nan, valid=False, reason=scarf.reason or "A is not real")
     rad = (scarf.A + qn.n) ** 2 - 1.0
@@ -440,7 +450,7 @@ def energy_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers) 
         return EnergyLevel(
             math.nan, valid=False, reason=f"(A+n)^2 - 1 = {rad:g} is negative"
         )
-    return EnergyLevel(value=scarf.lam / params.R * math.sqrt(rad), valid=True)
+    return _finite_level(scarf.lam / params.R * math.sqrt(rad))
 
 
 def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: float = 0.0):
@@ -453,18 +463,13 @@ def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: fl
     return pref * (1.0 - t) ** (0.5 * (A - B)) * (1.0 + t) ** (0.5 * (A + B)) * pj
 
 
-def _pdfv_weight(params: CatenoidParams, lam: float, u):
-    """Sturm-Liouville weight 1/v_F(u)^2 of the sec^2-velocity problem."""
-    return 1.0 / fermi_velocity(ScarfVF(lam), params, u) ** 2
-
-
 def eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):
     """Eigenfunction of the sec^2-velocity problem in the meridian coordinate.
 
     sqrt(1+u^2/R^2) (1-t)^((A-B)/2) (1+t)^((A+B)/2) P_n^(A-B-1/2,A+B-1/2)(t)
     with t = u/sqrt(R^2+u^2), unnormalized: the value at the throat is
     P_n(0), which is 1 for n = 0.  Its Sturm-Liouville weight is
-    1/v_F(u)^2 (_pdfv_weight).
+    1/v_F(u)^2.
     """
     if not scarf.valid:
         raise ValueError(f"invalid Scarf parameters: {scarf.reason}")

@@ -26,7 +26,6 @@ from . import __version__, _csv_rows
 from ._csv_rows import CSV_BLOCK_ROWS, csv_blocks
 from .analytic import (
     QuantumNumbers,
-    _pdfv_weight,
     constant_case_rspace_potential,
     eigenfunction_constant_case,
     energy_constant_case,
@@ -46,6 +45,7 @@ from .numeric import (
 from .potentials import (
     ConstantVF,
     ScarfVF,
+    fermi_velocity,
     partner_potentials_from_W,
     scarf_form_pdfv,
     superpotential,
@@ -64,6 +64,7 @@ from .susy import (
 X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
 R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
 SPECTRUM_POINTS = 4001  # grid of the numeric spectrum levels
+ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one record per level
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
@@ -121,15 +122,9 @@ def _write_split(fh, table: np.ndarray, split: int) -> None:
         raise OSError(f"the CSV formatter child {sys.executable} exited with status {status}")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -186,7 +181,6 @@ def _numeric_levels(params: CatenoidParams, m: int, count: int, pdfv: bool) -> n
 def cmd_spectrum(args) -> int:
     params = CatenoidParams(args.R)
     pdfv = args.lam is not None
-    n_levels = args.n + 1
     validity_flags: list[str] = []
     if pdfv:
         scarf = scarf_params_physical(params, args.m, args.lam)
@@ -195,26 +189,22 @@ def cmd_spectrum(args) -> int:
         scale = args.vf / params.R
     numeric = None
     if args.mode in ("numeric", "both"):
-        eps_sq = _numeric_levels(params, args.m, n_levels, pdfv)
-        numeric = [scale * math.sqrt(e) if e >= 0 else math.nan for e in eps_sq]
-        validity_flags += [f"n={n}: numeric eps^2 = {e:g} is negative"
-                           for n, e in enumerate(eps_sq) if e < 0]
+        eps_sq = _numeric_levels(params, args.m, args.n + 1, pdfv)
+        numeric = np.array([scale * math.sqrt(e) if e >= 0 else math.nan for e in eps_sq])
+        validity_flags += [f"n={n}: numeric eps^2 = {e:g} is negative" if e < 0
+                           else f"n={n}: E_numeric = {x:g} is not finite"
+                           for n, (e, x) in enumerate(zip(eps_sq, numeric)) if not math.isfinite(x)]
         if pdfv:
             validity_flags += [
                 f"Scarf potential ~ kappa/delta^2 at x = {end}pi/2 with kappa = {k:g} < 0: "
                 f"the lowest numeric level scales like kappa/X_DELTA^2 (X_DELTA = {X_DELTA:g})"
                 for end, k in zip("-+", scarf_endpoint_kappa(params, args.m)) if k < 0]
-        finite = np.flatnonzero(~np.isnan(numeric))  # candidates for the closest level
-        numeric_finite = np.asarray(numeric)[finite]
     records = []
-    for n in range(n_levels):
+    for n in range(args.n + 1):
         rec: dict = {"n": n, "m": args.m}
         if args.mode in ("analytic", "both"):
-            level = (
-                energy_pdfv(params, scarf, QuantumNumbers(n, args.m))
-                if pdfv
-                else energy_constant_case(params, args.vf, QuantumNumbers(n, args.m))
-            )
+            qn = QuantumNumbers(n, args.m)
+            level = energy_pdfv(params, scarf, qn) if pdfv else energy_constant_case(params, args.vf, qn)
             rec["valid"] = level.valid
             if level.valid:
                 rec["E_analytic"] = level.value
@@ -223,28 +213,26 @@ def cmd_spectrum(args) -> int:
                 validity_flags.append(f"n={n}: {level.reason}")
         if numeric is not None:
             rec["E_numeric"] = numeric[n]
-        if args.mode == "both" and rec.get("valid") and numeric is not None:
-            denom = max(abs(rec["E_analytic"]), 1e-300)
-            rec["relative_discrepancy"] = abs(rec["E_analytic"] - numeric[n]) / denom
-            # argmin keeps the first of equal distances
-            closest = int(finite[np.argmin(np.abs(numeric_finite - rec["E_analytic"]))]) if finite.size else n
+        if args.mode == "both" and level.valid:
+            rec["relative_discrepancy"] = abs(level.value - numeric[n]) / max(level.value, 1e-300)
+            # nanargmin keeps the first of equal distances; with every numeric
+            # level NaN there is no other level to be closest
+            distance = np.abs(numeric - level.value)
+            closest = n if np.isnan(distance).all() else np.nanargmin(distance)
             if closest != n:
                 validity_flags.append(f"n={n}: closest numeric level is n={closest}")
         records.append(rec)
     out = Path(args.out)
-    payload = {"levels": records}
     if args.format == "csv":
         keys = sorted({k for r in records for k in r})
         cols = [np.array([math.nan if isinstance(r.get(k), str) else float(r.get(k, math.nan))
                           for r in records]) for k in keys]
         _write_csv(out, keys, cols)  # NaN cells are placeholders, flagged above
     else:
-        _write_json(out, payload)
-    domain = None
-    if args.mode != "analytic":
-        domain = (f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], "
-                  f"{SPECTRUM_POINTS} points" if pdfv
-                  else f"compact coordinate, {SPECTRUM_POINTS} points")
+        _write_json(out, {"levels": records})
+    domain = None if args.mode == "analytic" else (
+        f"Scarf x-grid [-pi/2 + {X_DELTA:g}, pi/2 - {X_DELTA:g}], {SPECTRUM_POINTS} points" if pdfv
+        else f"compact coordinate, {SPECTRUM_POINTS} points")
     _write_manifest(out, args, {"numeric_domain": domain}, validity_flags)
     return 0
 
@@ -253,19 +241,18 @@ def cmd_wavefunction(args) -> int:
     params = CatenoidParams(args.R)
     qn = QuantumNumbers(args.n, args.m)
     u = np.linspace(args.umin, args.umax, args.samples)
-    pdfv = args.lam is not None
-    # realness check: the Scarf parameters, or the constant-velocity level
-    branch = (scarf_params_physical(params, args.m, args.lam) if pdfv
-              else energy_constant_case(params, args.vf, qn))
     validity_flags: list[str] = []
-    if not branch.valid:
-        if not args.allow_invalid:
-            raise ValueError(f"{branch.reason}; rerun with --allow-invalid")
-        validity_flags.append(branch.reason)
-    if pdfv:
-        vals = eigenfunction_pdfv(params, branch, qn, u)
-        weight, weight_label = _pdfv_weight(params, args.lam, u), "1/v_F(u)^2"
+    if args.lam is not None:
+        # eigenfunction_pdfv refuses invalid Scarf parameters: this branch has no regularization
+        vals = eigenfunction_pdfv(params, scarf_params_physical(params, args.m, args.lam), qn, u)
+        weight, weight_label = 1.0 / fermi_velocity(ScarfVF(args.lam), params, u) ** 2, "1/v_F(u)^2"
     else:
+        # realness check of the level, whose verdict does not depend on v_F
+        level = energy_constant_case(params, 1.0, qn)
+        if not level.valid:
+            if not args.allow_invalid:
+                raise ValueError(f"{level.reason}; rerun with --allow-invalid")
+            validity_flags.append(level.reason)
         vals = eigenfunction_constant_case(params, qn, u, allow_invalid=args.allow_invalid)
         weight, weight_label = 1.0, "du"
     vals = vals / trapezoid_norm(vals, u, weight)
@@ -304,7 +291,7 @@ def _partner_shift(W, dW, grid: Grid, count: int):
 
 
 def _check(name: str, value: float, tolerance: float) -> dict:
-    return {"name": name, "value": value, "tolerance": tolerance, "pass": value < tolerance}
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": bool(value < tolerance)}
 
 
 def cmd_susy_check(args) -> int:
@@ -456,8 +443,9 @@ def _check_inputs(args) -> None:
     """Validate every option the subcommand has, through the validated
     types, before any command runs: R, vf and lambda finite and > 0, |m| <=
     2**53 (m enters every formula as a float), n >= 0 (at most
-    SPECTRUM_POINTS - 3 for numeric levels, below samples for a profile,
-    whose n nodes fewer samples cannot resolve), samples >= 2, umin < umax."""
+    SPECTRUM_POINTS - 3 for numeric levels and ANALYTIC_N_MAX for analytic
+    ones, below samples for a profile, whose n nodes fewer samples cannot
+    resolve), samples >= 2, umin < umax."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
     if hasattr(args, "m") and not abs(args.m) <= 2**53:
@@ -466,8 +454,8 @@ def _check_inputs(args) -> None:
         ScarfVF(args.lam)
     if hasattr(args, "n"):
         QuantumNumbers(args.n, args.m)
-    if getattr(args, "mode", None) in ("numeric", "both"):
-        n_max = SPECTRUM_POINTS - 3  # levels 0..n plus the two spare ones
+    if args.command == "spectrum":  # numeric levels 0..n plus the two spare ones fit the grid
+        n_max = ANALYTIC_N_MAX if args.mode == "analytic" else SPECTRUM_POINTS - 3
         if args.n > n_max:
             raise ValueError(f"--n must be at most {n_max} with --mode {args.mode}, got {args.n}")
     if hasattr(args, "samples"):

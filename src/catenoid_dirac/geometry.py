@@ -1,4 +1,4 @@
-"""Catenoid surface: embedding, metric, curvatures, spin connection.
+"""Catenoid surface: embedding, metric, Gaussian curvature, spin connection.
 
 The surface of revolution with throat radius R is parametrized by the
 meridian coordinate u (u = 0 at the throat) and the parallel angle phi.
@@ -16,15 +16,11 @@ import numpy as np
 
 __all__ = [
     "CatenoidParams",
-    "SurfacePoint",
-    "CurvatureSample",
     "embed",
     "metric_coefficient",
-    "curvatures",
+    "gaussian_curvature",
     "spin_connection",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -44,29 +40,12 @@ class CatenoidParams:
             raise ValueError(f"bridge radius {self.R} is out of range: R^2 underflows or overflows")
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
-    """Point on the surface; phi is normalized into [0, 2*pi)."""
-
-    u: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", self.phi % TWO_PI)
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    gaussian: float
-    mean: float = 0.0
-
-
-def embed(params: CatenoidParams, p: SurfacePoint) -> np.ndarray:
-    """Cartesian position (x, y, z) of a surface point."""
-    rho = math.hypot(params.R, p.u)
+def embed(params: CatenoidParams, u: float, phi: float) -> np.ndarray:
+    """Cartesian position (x, y, z) of the surface point (u, phi)."""
+    rho = math.hypot(params.R, u)
     # asinh is the numerically stable log form for large |u/R|
-    z = params.R * math.asinh(p.u / params.R)
-    return np.array([rho * math.cos(p.phi), rho * math.sin(p.phi), z])
+    z = params.R * math.asinh(u / params.R)
+    return np.array([rho * math.cos(phi), rho * math.sin(phi), z])
 
 
 def metric_coefficient(params: CatenoidParams, u):
@@ -74,15 +53,14 @@ def metric_coefficient(params: CatenoidParams, u):
     return params.R**2 + np.square(u)
 
 
-def curvatures(params: CatenoidParams, u) -> CurvatureSample:
-    """Gaussian and mean curvature at meridian coordinate u.
+def gaussian_curvature(params: CatenoidParams, u):
+    """Gaussian curvature -R^2/(R^2+u^2)^2 at meridian coordinate u.
 
-    Gaussian curvature is -R^2/(R^2+u^2)^2, strictly negative and decaying
-    to zero away from the throat; the mean curvature vanishes identically
-    (minimal surface).
+    Strictly negative and decaying to zero away from the throat.  The mean
+    curvature vanishes identically: the catenoid is a minimal surface.
     """
     g = params.R**2 + u * u
-    return CurvatureSample(gaussian=-(params.R**2) / (g * g), mean=0.0)
+    return -(params.R**2) / (g * g)
 
 
 def spin_connection(params: CatenoidParams, u):

@@ -101,6 +101,11 @@ class TestEnergyConstantCase:
         assert not lvl.valid
         assert "radicand" in lvl.reason
 
+    def test_invalid_when_velocity_over_radius_overflows(self):
+        lvl = energy_constant_case(CatenoidParams(1e-100), 1e300, QuantumNumbers(0, 3))
+        assert not lvl.valid and math.isnan(lvl.value)
+        assert lvl.reason == "|E| = inf is not finite"
+
     def test_m_parity_invariance(self):
         for m in (1, 3, 4):
             for n in (0, 2):
@@ -165,7 +170,7 @@ class TestEigenfunctionConstantCase:
 
 class TestZeroEnergySolution:
     def test_value_at_origin_m0(self):
-        v = zero_energy_solution(0, 0.0, amplitude=1.5)
+        v = 1.5 * zero_energy_solution(0, 0.0)
         assert abs(v - 6.0) < 1e-12
 
     def test_finite_inside_domain(self):
@@ -342,6 +347,14 @@ class TestEnergyPdfv:
         s = ScarfParams(A=1.0, B=0.1, c=1.0, lam=1.0)
         lvl = energy_pdfv(R1, s, QuantumNumbers(0, 1))
         assert lvl.valid and lvl.value == 0.0
+
+    @pytest.mark.parametrize("A, reason", [(2.0, "|E| = inf is not finite"), (1.0, "|E| = nan is not finite")],
+                             ids=["infinite", "zero_times_infinite"])
+    def test_invalid_when_velocity_over_radius_overflows(self, A, reason):
+        s = ScarfParams(A=A, B=0.1, c=1.0, lam=1e300)
+        lvl = energy_pdfv(CatenoidParams(1e-100), s, QuantumNumbers(0, 1))
+        assert not lvl.valid and math.isnan(lvl.value)
+        assert lvl.reason == reason
 
 
 class TestEigenfunctionPdfv:

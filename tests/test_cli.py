@@ -137,7 +137,9 @@ class TestSpectrum:
         (["--R", "0.5", "--m", "1", "--lambda", "1", "--n", "3"],
          ["n=1: closest numeric level is n=2", "n=2: closest numeric level is n=3"]),
         (["--R", "1", "--m", "3", "--n", "4"], []),
-    ], ids=["shifted", "aligned"])
+        # the one numeric level has eps^2 < 0: no level to be closest
+        (["--R", "1.7", "--m", "-3", "--lambda", "1", "--n", "0"], []),
+    ], ids=["shifted", "aligned", "no_numeric_level"])
     def test_index_mismatch_flagged(self, tmp_path, argv, expected):
         out = tmp_path / "spec.json"
         assert main(["spectrum", *argv, "--mode", "both", "--out", str(out)]) == 0
@@ -159,6 +161,33 @@ class TestSpectrum:
         assert [(f.split("x = ")[1][0], f.split("kappa = ")[1].split()[0]) for f in flags] == expected
         assert all("kappa/X_DELTA^2" in f for f in flags)
 
+    @pytest.mark.parametrize("R, reason", [
+        ("2", "quartic discriminant -7 is negative"),
+        ("1", "quartic root t^2 = -0.381966 is not positive"),
+    ], ids=["discriminant", "root"])
+    def test_invalid_scarf_parameters_flag_every_level(self, tmp_path, R, reason):
+        out = tmp_path / "spec.json"
+        assert main(["spectrum", "--lambda", "1", "--m", "0", "--R", R, "--mode", "both",
+                     "--out", str(out)]) == 0
+        levels = json.loads(out.read_text())["levels"]
+        assert [(r["valid"], r["reason"]) for r in levels] == [(False, reason)] * 4
+        assert [f"n={n}: {reason}" for n in range(4)] == read_manifest(out)["validity_flags"][-4:]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [["--vf", "1e300"], ["--lambda", "1e300"]], ids=["vf", "lambda"])
+    def test_overflowing_level_flagged_invalid(self, tmp_path, scale):
+        # v_F/R overflows: every level is infinite, and none is written as valid
+        out = tmp_path / "big.json"
+        assert main(["spectrum", "--m", "3", *scale, "--R", "1e-100", "--mode", "both",
+                     "--out", str(out)]) == 0
+        levels = json.loads(out.read_text())["levels"]
+        assert [(r["valid"], r["reason"], r["E_numeric"]) for r in levels] == \
+            [(False, "|E| = inf is not finite", math.inf)] * 4
+        assert not any("relative_discrepancy" in r for r in levels)
+        assert read_manifest(out)["validity_flags"] == \
+            [f"n={n}: E_numeric = inf is not finite" for n in range(4)] + \
+            [f"n={n}: |E| = inf is not finite" for n in range(4)]
+
 
 class TestWavefunction:
     def test_ground_state_profile(self, tmp_path):
@@ -179,6 +208,19 @@ class TestWavefunction:
                      "--out", str(out)]) == 0
         mani = read_manifest(out)
         assert any("sqrt(-1)" in f for f in mani["validity_flags"])
+
+    @pytest.mark.parametrize("argv, message", [
+        # the Scarf branch has no regularization, so --allow-invalid cannot help
+        (["--lambda", "1", "--m", "0", "--R", "2"],
+         "error: invalid Scarf parameters: quartic discriminant -7 is negative\n"),
+        (["--lambda", "1", "--m", "0", "--R", "2", "--allow-invalid"],
+         "error: invalid Scarf parameters: quartic discriminant -7 is negative\n"),
+        (["--m", "-2", "--n", "1"], "error: M2 = sqrt(-1) is complex; rerun with --allow-invalid\n"),
+    ], ids=["scarf", "scarf_allow_invalid", "constant_velocity"])
+    def test_refusal_suggests_allow_invalid_only_where_it_regularizes(self, tmp_path, capsys, argv, message):
+        assert main(["wavefunction", *argv, "--out", str(tmp_path / "wf.csv")]) == 1
+        assert capsys.readouterr().err == message
+        assert not any(tmp_path.iterdir())
 
     def test_manifest_declares_weight(self, tmp_path):
         out = tmp_path / "wf.csv"
@@ -229,6 +271,13 @@ class TestSusyCheck:
         assert report["all_pass"] is False
         assert report["failures"] == ["partner_identity_minus", "partner_identity_plus",
                                       "zero_mode_annihilation"]
+
+    def test_shift_table_skipped_at_nonpositive_quartic_root(self, tmp_path):
+        out = tmp_path / "susy1.json"
+        assert main(["susy-check", "--m", "0", "--R", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["shift_table"] == []
+        assert read_manifest(out)["validity_flags"] == [
+            "shift table skipped: quartic root t^2 = -0.381966 is not positive"]
 
     def test_shift_table_skipped_without_scarf_pair(self, tmp_path):
         out = tmp_path / "susy0.json"
@@ -377,6 +426,9 @@ REJECTED_INPUTS = [
     # a degree-n profile has n nodes; 10**20 recurrence steps never returned
     ["wavefunction", "--m", "3", "--n", str(10**20)],
     ["wavefunction", "--m", "3", "--n", str(10**400)],
+    # one record per level: 10**20 of them never returned
+    ["spectrum", "--mode", "analytic", "--n", str(10**6 + 1)],
+    ["spectrum", "--mode", "analytic", "--n", str(10**20)],
 ]
 
 

@@ -5,9 +5,8 @@ import pytest
 
 from catenoid_dirac.geometry import (
     CatenoidParams,
-    SurfacePoint,
-    curvatures,
     embed,
+    gaussian_curvature,
     metric_coefficient,
     spin_connection,
 )
@@ -15,8 +14,8 @@ from catenoid_dirac.geometry import (
 
 def fd_embedding_jacobian(params, u, phi, h=1e-6):
     """Columns dX/du and dX/dphi of the embedding map by central differences."""
-    du = (embed(params, SurfacePoint(u + h, phi)) - embed(params, SurfacePoint(u - h, phi))) / (2 * h)
-    dp = (embed(params, SurfacePoint(phi=phi + h, u=u)) - embed(params, SurfacePoint(phi=phi - h, u=u))) / (2 * h)
+    du = (embed(params, u + h, phi) - embed(params, u - h, phi)) / (2 * h)
+    dp = (embed(params, u, phi + h) - embed(params, u, phi - h)) / (2 * h)
     return du, dp
 
 
@@ -37,20 +36,16 @@ class TestParams:
     def test_accepts_radius_at_range_edges(self, R):
         assert CatenoidParams(R).R == R
 
-    def test_phi_normalized(self):
-        p = SurfacePoint(0.0, 2 * math.pi + 1.0)
-        assert abs(p.phi - 1.0) < 1e-12
-
 
 class TestEmbed:
     def test_throat_point(self):
         p = CatenoidParams(1.0)
-        assert np.allclose(embed(p, SurfacePoint(0.0, 0.0)), [1.0, 0.0, 0.0])
-        assert np.allclose(embed(p, SurfacePoint(0.0, math.pi / 2)), [0.0, 1.0, 0.0])
+        assert np.allclose(embed(p, 0.0, 0.0), [1.0, 0.0, 0.0])
+        assert np.allclose(embed(p, 0.0, math.pi / 2), [0.0, 1.0, 0.0])
 
     def test_off_throat_point(self):
         p = CatenoidParams(2.0)
-        x = embed(p, SurfacePoint(2.0, 0.0))
+        x = embed(p, 2.0, 0.0)
         assert np.allclose(x, [2 * math.sqrt(2), 0.0, 2 * math.asinh(1.0)], atol=1e-12)
 
     def test_first_fundamental_form_is_diag_1_g(self):
@@ -78,7 +73,7 @@ class TestMetric:
 def fd_shape_operator_det(params, u, phi, h=1e-5):
     """Gaussian curvature det(II)/det(I) from finite differences of the embedding."""
     def X(uu, pp):
-        return embed(params, SurfacePoint(uu, pp))
+        return embed(params, uu, pp)
 
     Xu = (X(u + h, phi) - X(u - h, phi)) / (2 * h)
     Xp = (X(u, phi + h) - X(u, phi - h)) / (2 * h)
@@ -96,24 +91,19 @@ def fd_shape_operator_det(params, u, phi, h=1e-5):
 
 class TestCurvatures:
     def test_throat(self):
-        c = curvatures(CatenoidParams(1.0), 0.0)
-        assert c.gaussian == -1.0
-        assert c.mean == 0.0
+        assert gaussian_curvature(CatenoidParams(1.0), 0.0) == -1.0
 
     def test_off_throat(self):
-        c = curvatures(CatenoidParams(2.0), 2.0)
-        assert abs(c.gaussian + 1.0 / 16.0) < 1e-15
-        assert c.mean == 0.0
+        assert abs(gaussian_curvature(CatenoidParams(2.0), 2.0) + 1.0 / 16.0) < 1e-15
 
     def test_asymptotic_flatness(self):
-        assert abs(curvatures(CatenoidParams(1.0), 1e6).gaussian) < 1e-12
+        assert abs(gaussian_curvature(CatenoidParams(1.0), 1e6)) < 1e-12
 
     def test_against_fd_shape_operator(self):
         for R, u in [(1.0, 0.5), (2.0, 2.0), (1.5, -1.0)]:
             p = CatenoidParams(R)
             K, H = fd_shape_operator_det(p, u, 0.4)
-            c = curvatures(p, u)
-            assert abs(K - c.gaussian) < 1e-6
+            assert abs(K - gaussian_curvature(p, u)) < 1e-6
             assert abs(H) < 1e-6
 
 

@@ -639,6 +639,26 @@ class TestSameLevelsAsOneDstebzCall:
         assert len(started) == 1
         assert 3 not in off_calling
 
+    def test_overflowing_gershgorin_bounds_make_the_one_call(self):
+        # the squares of these entries overflow, so the queue's Gershgorin
+        # bounds are not finite; the one call fails as scipy's does
+        from scipy.linalg import eigh_tridiagonal
+
+        d, e = np.full(6, 1e308), np.full(5, -9e307)
+        orders = []
+        real = _lapack.dstebz
+
+        def spy(order, *args):
+            orders.append(order)
+            return real(order, *args)
+
+        with np.errstate(over="ignore"), mock.patch.object(_lapack, "dstebz", spy):
+            with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = 4"):
+                eigen_tridiagonal(TridiagonalOperator(d, e), 3)
+            with pytest.raises(np.linalg.LinAlgError, match="info=4"):
+                eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 2))
+        assert orders == [b"E"]
+
     @pytest.mark.parametrize("budget", [0, 2, 5])
     def test_exhausted_budget_makes_the_one_call(self, monkeypatch, budget):
         # with fewer bisection iterations than the one call has, an interval
