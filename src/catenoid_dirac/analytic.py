@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import CatenoidParams
-from .numeric import Grid, WavefunctionSamples, solve_bracketed
+from .numeric import Grid, WavefunctionSamples
 from .potentials import ScarfVF, _check_x, _rspace_potential
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
@@ -261,11 +261,6 @@ def _edp_f(m: int, eps_sq):
     return np.sqrt(-11.0 + 8.0 * m * m - 12.0 * eps_sq)
 
 
-def _edp_condition(m: int, n: int, eps_sq):
-    f = _edp_f(m, eps_sq)
-    return f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq
-
-
 def energy_dependent_branch(
     m: int, n: int, r_count: int = 201
 ) -> tuple[float, WavefunctionSamples]:
@@ -274,24 +269,17 @@ def energy_dependent_branch(
     The eigenvalue eps^2 enters its own potential, so the level is the
     root of f(n + 1/2) - 9m^2/f^2 - 7/2 + m^2 - eps^2 = 0 with
     f = sqrt(-11 + 8m^2 - 12 eps^2); this is exactly the condition under
-    which the parabolic-cylinder profile solves the equation.  Requires
-    8m^2 > 11 and searches eps^2 in [0, (8m^2-11)/12).
+    which the parabolic-cylinder profile solves the equation.  Times 12f^2
+    it is P(f) = f^4 + (12n+6)f^3 + (4m^2-31)f^2 - 108m^2 = 0, whose
+    coefficients change sign once: P has one positive root f*, and
+    eps^2 = (8m^2 - 11 - f*^2)/12, which is positive for every integer
+    |m| >= 2.  A negative eps^2 (|m| <= 1, or a non-integer m) raises.
     """
-    top = (8.0 * m * m - 11.0) / 12.0
-    if top <= 0.0:
-        raise ValueError("need 8m^2 > 11 for a real oscillator frequency")
-
-    def g(eps_sq):
-        return _edp_condition(m, n, eps_sq)
-
-    # scan for the first zero or sign change, then bisect it down to 1e-12
-    samples = np.linspace(0.0, top * (1.0 - 1e-9), 201)
-    vals = g(samples)
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
-    if hits.size == 0:
-        raise ValueError(f"no level in the admissible bracket for m={m}, n={n}")
-    i = hits[0]
-    root = samples[i] if vals[i] == 0.0 else solve_bracketed(g, samples[i], samples[i + 1], tol=1e-12)
+    roots = np.roots([1.0, 12.0 * n + 6.0, 4.0 * m * m - 31.0, 0.0, -108.0 * m * m])
+    f_star = roots[(roots.imag == 0.0) & (roots.real > 0.0)].real[0]
+    root = (8.0 * m * m - 11.0 - f_star * f_star) / 12.0
+    if root < 0.0:
+        raise ValueError(f"eps^2 = {root:g} < 0 for m={m}, n={n}: no real oscillator frequency")
     f = _edp_f(m, root)
     grid = Grid(-0.5, 0.5, r_count)
     r = grid.points
@@ -302,7 +290,8 @@ def energy_dependent_branch(
 
 def energy_dependent_residual(m: int, n: int, eps_sq: float) -> float:
     """Back-substitution residual of the quantization relation."""
-    return float(abs(_edp_condition(m, n, eps_sq)))
+    f = _edp_f(m, eps_sq)
+    return float(abs(f * (n + 0.5) - 9.0 * m * m / (f * f) - 3.5 + m * m - eps_sq))
 
 
 def energy_dependent_potential(m: int, eps_sq: float, r):
@@ -492,7 +481,7 @@ def _check_shared_level(level: EnergyLevel, above_zero_mode: float) -> None:
     if not level.valid:
         raise ValueError(f"level n+1 is not valid: {level.reason}")
     if not above_zero_mode > 0.0:
-        raise ValueError("the shared level coincides with the zero mode")
+        raise ValueError("the shared level is not above the zero mode")
 
 
 def partner_eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):

@@ -445,7 +445,9 @@ def _check_inputs(args) -> None:
     2**53 (m enters every formula as a float), n >= 0 (at most
     SPECTRUM_POINTS - 3 for numeric levels and ANALYTIC_N_MAX for analytic
     ones, below samples for a profile, whose n nodes fewer samples cannot
-    resolve), samples >= 2, umin < umax."""
+    resolve), samples >= 2, umin < umax, and R^2 + u^2 finite at the ends
+    of each u range (its power 1.5 for potentials; report-figures also at
+    +-40R)."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
     if hasattr(args, "m") and not abs(args.m) <= 2**53:
@@ -465,6 +467,15 @@ def _check_inputs(args) -> None:
             raise ValueError(f"--n must be below --samples ({args.samples}), got {args.n}")
         if not -math.inf < args.umin < args.umax < math.inf:
             raise ValueError(f"need finite umin < umax, got umin={args.umin}, umax={args.umax}")
+        # the largest |u| of each u range, at its ends, bounds R^2 + u^2 and its power 1.5
+        power = 1.5 if args.command == "potentials" else 1.0
+        ends = [args.umin, args.umax]
+        if args.command == "report-figures":  # and the ends of its +-40R norm box
+            ends.append(FIGURE_BOX[0] * args.R)
+        with np.errstate(over="ignore"):
+            for u in ends:
+                if not math.isfinite((args.R**2 + np.square(u)) ** power):
+                    raise ValueError(f"(R^2 + u^2)^{power} overflows at u = {u:g}")
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Independent verification engine.
 
 Finite-difference Hamiltonians on uniform grids, a symmetric tridiagonal
-eigensolver, 5-point derivatives, the trapezoid norm and bracketed root
-finding, all oblivious to the closed-form results they are used to check.
+eigensolver, 5-point derivatives and the trapezoid norm, all oblivious to
+the closed-form results they are used to check.
 ``WavefunctionSamples`` pairs sampled values with their grid, as
 ``analytic.energy_dependent_branch`` returns them.
 
@@ -35,7 +35,6 @@ __all__ = [
     "second_derivative",
     "first_derivative",
     "trapezoid_norm",
-    "solve_bracketed",
 ]
 
 
@@ -202,38 +201,3 @@ def trapezoid_norm(values, u, weight=1.0) -> float:
     if norm == 0.0:
         raise ValueError("cannot normalize a function whose weighted norm on the grid is zero")
     return norm
-
-
-def solve_bracketed(g: Callable, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Plain bisection; requires a sign change on [lo, hi] and finite g.
-
-    Stops when the bracket is no wider than tol, or when no float lies
-    between its ends (the midpoint equals an end), which a tol below the
-    float spacing of the bracket reaches first.
-    """
-
-    def finite_g(x: float) -> float:
-        gx = g(x)
-        if not math.isfinite(gx):
-            raise ValueError(f"g({x!r}) = {gx!r} is not finite")
-        return gx
-
-    glo, ghi = finite_g(lo), finite_g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0.0:
-        raise ValueError("no sign change on the bracket")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = finite_g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0.0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-    return 0.5 * (lo + hi)

@@ -39,12 +39,17 @@ from catenoid_dirac.specfun import kummer_m, parabolic_cylinder_d
 from fd_oracles import count_features, ode_residual
 
 R1 = CatenoidParams(1.0)
+U = 2.0**-53  # unit roundoff of a float
 
 
 class TestQuantumNumbers:
     def test_rejects_negative_n(self):
         with pytest.raises(ValueError):
             QuantumNumbers(-1, 2)
+
+    def test_rejects_non_integer_m(self):
+        with pytest.raises(ValueError, match="angular momentum must be an integer"):
+            QuantumNumbers(0, 2.5)
 
 
 class TestJacobiBranchParams:
@@ -154,6 +159,8 @@ class TestEigenfunctionConstantCase:
     def test_invalid_params_rejected_without_toggle(self):
         with pytest.raises(ValueError):
             eigenfunction_constant_case(R1, QuantumNumbers(1, -2), 0.0)
+        with pytest.raises(ValueError, match=r"M1 = sqrt\(-1\) is complex"):
+            constant_case_epsilon_sq(QuantumNumbers(0, 1))
         vals = eigenfunction_constant_case(
             R1, QuantumNumbers(1, -2), np.linspace(-3, 3, 11), allow_invalid=True
         )
@@ -252,16 +259,53 @@ class TestEnergyDependentBranch:
     def test_requires_wide_enough_mass(self):
         with pytest.raises(ValueError):
             energy_dependent_branch(1, 0)
+        with pytest.raises(ValueError):  # 8m^2 > 11, but the positive root of P gives eps^2 < 0
+            energy_dependent_branch(1.2, 0)
 
-    @pytest.mark.parametrize("m, n, root", [
-        (2, 0, 0.36721542910800264),
-        (3, 5, 4.604108091336897),
-        (-5, 7, 15.074872253356894),
-        (-2, 1, 0.9999999999997529),
-        (4, 3, 8.926658712548509),
-    ])
-    def test_pinned_roots(self, m, n, root):
-        assert energy_dependent_branch(m, n)[0] == root
+    def test_exact_level(self):
+        # at (m, n) = (-2, 1), f = 3 solves P, so eps^2 = (32 - 11 - 9)/12 = 1
+        assert abs(energy_dependent_branch(-2, 1)[0] - 1.0) <= 4 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 20, -2, -3, -4, -5, -20])
+    def test_level_is_the_positive_root_of_the_quartic(self, m):
+        """Levels n = 0..20 (the orders D_n accepts) against
+        eps^2 = (8m^2 - 11 - f*^2)/12, with f* the one positive root of
+        P(f) = f^4 + (12n+6)f^3 + (4m^2-31)f^2 - 108m^2 at 40 digits.
+
+        The tolerance is a rounding-error bound, not a fit to today's output
+        (u = 2^-53):
+        - np.roots returns the eigenvalues of the companion matrix A of P
+          from LAPACK dgeev, which balances A to B = T^-1 A T (dgebal: a
+          permutation and powers of 2, both exact) and returns the exact
+          eigenvalues of B + E with ||E|| <= p u ||B||, p a modest function
+          of the order 4, taken as 4^2 (LAPACK Users' Guide, sec. 4.8).  To
+          first order f* moves by at most p u ||B|| ||x|| ||y|| / |y^T x|,
+          with x = T^-1 (f^3, f^2, f, 1) and y = T^T (the Horner partial
+          sums of P at f) the right and left eigenvectors of B, and
+          y^T x = P'(f).
+        - eps^2 moves by f |df| / 6 through f*, and (8m^2 - 11 - f^2)/12
+          rounds at most five times, each on a value no larger than
+          8m^2 + 11 + f^2.
+        """
+        from scipy.linalg import matrix_balance
+
+        for n in range(21):
+            got = energy_dependent_branch(m, n)[0]
+            coeffs = [1, 12 * n + 6, 4 * m * m - 31, 0, -108 * m * m]
+            companion = np.diag(np.ones(3), -1)
+            companion[0] = -np.array(coeffs[1:], dtype=float)
+            balanced, T = matrix_balance(companion)
+            with mpmath.workdps(40):
+                [f] = [mpmath.re(r) for r in mpmath.polyroots(coeffs, maxsteps=100, extraprec=100)
+                       if mpmath.im(r) == 0 and mpmath.re(r) > 0]
+                ref = (8 * m * m - 11 - f * f) / 12
+                T = mpmath.matrix(T.tolist())
+                x = mpmath.inverse(T) * mpmath.matrix([f**3, f**2, f, 1])
+                y = T.T * mpmath.matrix([mpmath.polyval(coeffs[:j + 1], f) for j in range(4)])
+                dP = mpmath.polyval(coeffs, f, derivative=True)[1]
+                df = 16 * U * np.linalg.norm(balanced, 2) * mpmath.norm(x) * mpmath.norm(y) / abs(dP)
+                bound = f * df / 6 + 5 * U * (8 * m * m + 11 + f * f) / 12
+                assert abs(got - ref) <= bound, (m, n)
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]), st.integers(0, 7), st.integers(201, 4001))
@@ -286,6 +330,20 @@ class TestScarfParams:
     def test_zero_denominator_guard(self):
         with pytest.raises(ZeroDivisionError):
             scarf_params_pdfv(CatenoidParams(2.0 / 3.0), 1, 1.0)
+
+    # the three invalid returns of the printed closed forms, at R = 0.1
+    @pytest.mark.parametrize("m, reason", [
+        (-6, "radicand inside A, -119811, is negative"),
+        (-1, "radicand under c, -8, is negative"),
+        (0, "c^2 = -0.00667409 is negative"),
+    ])
+    def test_invalid_printed_sets_are_flagged(self, m, reason):
+        s = scarf_params_pdfv(CatenoidParams(0.1), m, 1.0)
+        assert not s.valid and s.reason == reason and math.isnan(s.A)
+
+    def test_unknown_root_rejected(self):
+        with pytest.raises(ValueError, match="root must be 'upper' or 'lower'"):
+            scarf_params_physical(R1, 2, 1.0, root="middle")
 
     def test_physical_branch_identities(self):
         s = scarf_params_physical(R1, 2, 1.0)
@@ -375,6 +433,12 @@ class TestEigenfunctionPdfv:
         vals = eigenfunction_pdfv(R1, self.s, QuantumNumbers(2, 2), np.array([-500.0, 500.0]))
         assert np.all(np.isfinite(vals))
 
+    def test_nonclassical_exponents_rejected(self):
+        # the printed set at R = 0.1, m = 2 is valid, with Jacobi exponents (-1.356, 2.122)
+        s = scarf_params_pdfv(CatenoidParams(0.1), 2, 1.0)
+        with pytest.raises(ValueError, match=r"exponents \(-1.35614, 2.12237\) are outside"):
+            eigenfunction_pdfv(CatenoidParams(0.1), s, QuantumNumbers(0, 2), 0.0)
+
 
 class TestSuperpotentialPdfv:
     def test_value_at_origin(self):
@@ -428,6 +492,11 @@ class TestPartnerPdfv:
         bad = ScarfParams(math.nan, math.nan, math.nan, 1.0, valid=False, reason="test")
         with pytest.raises(ValueError):
             partner_eigenfunction_pdfv(R1, bad, QuantumNumbers(0, 2), 0.0)
+        # the printed set at R = 0.75, m = 2 has A = -2.23: the shared level
+        # (A+1)^2 - 1 lies 3.46 below the zero mode's A^2 - 1
+        printed = scarf_params_pdfv(CatenoidParams(0.75), 2, 1.0)
+        with pytest.raises(ValueError, match="the shared level is not above the zero mode"):
+            partner_eigenfunction_pdfv(CatenoidParams(0.75), printed, QuantumNumbers(0, 2), 0.0)
 
 
 def _mp_jacobi(n, alpha, beta, x):

@@ -429,6 +429,12 @@ REJECTED_INPUTS = [
     # one record per level: 10**20 of them never returned
     ["spectrum", "--mode", "analytic", "--n", str(10**6 + 1)],
     ["spectrum", "--mode", "analytic", "--n", str(10**20)],
+    ["potentials", "--samples", "1"],
+    # R^2 + u^2 (to the power 1.5 in the potentials) overflows at an end of a
+    # u range, where t = u/sqrt(R^2 + u^2) evaluates to 0 and V_eff1 loses its m*u term
+    ["potentials", "--m", "3", "--umin=-1e103", "--umax=1e103"],
+    ["wavefunction", "--m", "3", "--n", "0", "--umin=-1e160", "--umax=1e160"],
+    ["report-figures", "--allow-invalid", "--R", "1e153"],  # its +-40R norm box
 ]
 
 
@@ -437,6 +443,16 @@ def test_rejected_input(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# just inside the bound on R^2 + u^2 at the ends of the u ranges
+@pytest.mark.parametrize("argv", [
+    ["potentials", "--m", "3", "--umin=-5e102", "--umax=5e102"],
+    ["wavefunction", "--m", "3", "--n", "0", "--umin=-1e154", "--umax=1e154"],
+    ["report-figures", "--allow-invalid", "--R", "3.3e152"],
+], ids=" ".join)
+def test_largest_u_ranges_accepted(argv):
+    _check_inputs(build_parser().parse_args(argv + ["--out", "x"]))
 
 
 # numeric levels 0..n, plus two spare ones, must fit the spectrum grid

@@ -28,7 +28,6 @@ from catenoid_dirac.numeric import (
     eigen_tridiagonal,
     first_derivative,
     second_derivative,
-    solve_bracketed,
     trapezoid_norm,
 )
 from catenoid_dirac.potentials import partner_potentials_from_W, scarf_form_pdfv
@@ -124,6 +123,10 @@ class TestEigenTridiagonal:
         (d if where == "diagonal" else e)[1] = bad
         with pytest.raises(ValueError, match="finite"):
             eigen_tridiagonal(TridiagonalOperator(d, e), 2)
+
+    def test_rejects_offdiagonal_of_diagonal_length(self):
+        with pytest.raises(ValueError, match="off-diagonal must be one shorter than diagonal"):
+            TridiagonalOperator(np.ones(3), np.ones(3))
 
     @pytest.mark.parametrize("grid", [None, Grid(0.0, 1.5, 16)], ids=["no_grid", "grid"])
     def test_1x1_operator(self, grid):
@@ -377,44 +380,6 @@ class TestCountFeatures:
         f[-1] = -1e-13  # tail round-off must not register as a sign change
         changes, _ = count_features(f)
         assert changes == 0
-
-
-class TestSolveBracketed:
-    def test_sqrt2(self):
-        root = solve_bracketed(lambda x: x * x - 2.0, 0.0, 2.0)
-        assert abs(root - math.sqrt(2.0)) < 1e-11
-
-    def test_cosine(self):
-        root = solve_bracketed(math.cos, 0.0, 2.0)
-        assert abs(root - math.pi / 2) < 1e-11
-
-    def test_no_sign_change(self):
-        with pytest.raises(ValueError):
-            solve_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize("g", [
-        lambda x: float("nan"),
-        lambda x: float("nan") if x == 0.5 else x - 0.25,  # NaN at the first midpoint
-        lambda x: -math.inf if x == 0.0 else x - 0.25,  # infinite end point
-    ], ids=["nan_everywhere", "nan_midpoint", "inf_end"])
-    def test_nonfinite_rejected(self, g):
-        with pytest.raises(ValueError, match="not finite"):
-            solve_bracketed(g, 0.0, 1.0)
-
-    @pytest.mark.parametrize("call, root", [
-        ("solve_bracketed(lambda x: x - 1e6 - 0.3, 1e6, 1e6 + 1)", 1e6 + 0.3),
-        ("solve_bracketed(math.cos, 0.0, 2.0, tol=0.0)", math.pi / 2),
-    ], ids=["tol_below_spacing", "zero_tol"])
-    def test_tol_below_float_spacing_returns(self, call, root):
-        # once the bracket holds no float between its ends, bisection stops
-        # at one end; before, these ran forever, so they run in a child
-        # process with a deadline
-        code = f"import math; from catenoid_dirac.numeric import solve_bracketed; print(repr({call}))"
-        src = str(Path(numeric.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
-        assert result.returncode == 0, result.stderr
-        assert abs(float(result.stdout) - root) <= math.ulp(root)
 
 
 def _cli_operators():

@@ -164,6 +164,10 @@ class TestHermite:
         assert hermite(2, 0.0) == -2.0
         assert hermite(3, 1.0) == -4.0
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be a non-negative integer"):
+            hermite(-1, 0.5)
+
     def test_against_scipy(self):
         for n in range(8):
             for x in np.linspace(-3, 3, 13):
@@ -326,6 +330,8 @@ class TestArrayInput:
         # M(1, 1, z) = e^z needs more than the term budget past z of about 340
         with pytest.raises(ArithmeticError, match=r"a=1\.0, b=1\.0, z=600\.0"):
             kummer_m(1.0, 1.0, np.array([1.0, 600.0, 700.0]))
+        with pytest.raises(ArithmeticError, match=r"a=0\.5, b=1\.5, z=600\.0"):  # scalar z
+            kummer_m(0.5, 1.5, 600.0)
 
 
 # -- against mpmath ---------------------------------------------------------

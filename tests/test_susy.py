@@ -92,6 +92,10 @@ class TestGroundStateFromW:
         out = ground_state_from_W(np.zeros_like, g)
         assert np.max(np.abs(out - 1.0)) < 1e-14
 
+    def test_non_finite_superpotential_rejected(self):
+        with pytest.raises(ValueError, match="superpotential is not finite on the grid"):
+            ground_state_from_W(lambda u: np.full_like(u, np.nan), Grid(-5.0, 5.0, 501))
+
 
 class TestCatenoidGroundState:
     def test_values(self):
