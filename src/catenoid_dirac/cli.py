@@ -4,10 +4,10 @@ Every data file gets a JSON manifest sidecar at <out>.manifest.json with
 the tool version, the command, every parsed option but --out and --format,
 truncation metadata, and any validity flags raised during the run.  CSV
 uses 17 significant digits so files round-trip bit-exactly.  A table of two
-or more CSV_BLOCK_ROWS blocks is formatted in two processes: a stdlib-only
-child interpreter formats the later half of the rows while this process
-formats the earlier half, and the file holds the same bytes as from one
-process.
+or more CSV_BLOCK_ROWS blocks is formatted in two processes that meet in
+the middle: this process from the first row up, a stdlib-only child
+interpreter from the last row down, each whole CSV_UNIT_ROWS units, so the
+file holds the same bytes as from one process.
 """
 
 from __future__ import annotations
@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
 import sys
+import tempfile
+import threading
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _csv_rows
-from ._csv_rows import CSV_BLOCK_ROWS, csv_blocks
+from ._csv_rows import CSV_BLOCK_ROWS, CSV_UNIT_ROWS, csv_blocks
 from .analytic import (
     QuantumNumbers,
     constant_case_rspace_potential,
@@ -70,19 +71,19 @@ ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
     """Header line, then one "%.17g" row per sample, comma-separated.
 
-    ``_csv_rows.csv_blocks`` formats CSV_BLOCK_ROWS rows per % call: the
+    ``_csv_rows.csv_blocks`` formats CSV_UNIT_ROWS rows per % call: the
     same bytes as np.savetxt, without its per-row Python loop.  A table of
-    two or more blocks is split at the block boundary below its middle (see
-    ``_write_split``); a smaller one never starts a process.  Returns one
-    validity flag per column with non-finite cells, naming its count and
-    the first value of the first column (u) at which one occurs.
+    two or more CSV_BLOCK_ROWS blocks is formatted by this process and a
+    child interpreter that meet in the middle (see ``_write_split``); a
+    smaller one never starts a process.  Returns one validity flag per
+    column with non-finite cells, naming its count and the first value of
+    the first column (u) at which one occurs.
     """
     table = np.column_stack(columns).astype(float, copy=False)
-    split = CSV_BLOCK_ROWS * (len(table) // (2 * CSV_BLOCK_ROWS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        if split:
-            _write_split(fh, table, split)
+        if len(table) >= 2 * CSV_BLOCK_ROWS:
+            _write_split(fh, table)
         else:
             fh.writelines(csv_blocks(table.ravel(), table.shape[1]))
     bad = ~np.isfinite(table)
@@ -91,35 +92,61 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list
             for name, col, count in zip(header, bad.T, bad.sum(axis=0)) if count]
 
 
-def _write_split(fh, table: np.ndarray, split: int) -> None:
-    """Rows table[:split] formatted here, table[split:] by a child interpreter.
+def _write_split(fh, table: np.ndarray) -> None:
+    """CSV_UNIT_ROWS units formatted here from the first one up, and by a
+    child interpreter from the last one down, until the two meet.
 
-    The child runs ``_csv_rows`` with ``-I -S`` (no site, no user paths) and
-    formats on another core while this process formats its own rows; its
-    text is then copied after them.  A child that exits non-zero raises
-    OSError.  The child is reaped before return, also when this raises.
+    The child runs ``_csv_rows`` with ``-I -S`` (no site, no user paths) on
+    another core.  It reads the rows from a temporary file, appends the
+    text of each unit to another, and reports the unit's byte count on its
+    stdout, which a thread here reads.  This process stops at the first
+    unit the child has reported, waits for the child's first report or its
+    exit, then copies the child's units after its own in file order.  A
+    child that exits non-zero raises OSError.  The child is stopped and
+    reaped before return, also when this raises.
     """
     import subprocess  # about 6 ms of import that a table under two blocks never needs
 
-    ncols = table.shape[1]
-    proc = subprocess.Popen([sys.executable, "-I", "-S", _csv_rows.__file__, str(ncols)],
-                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-    try:
+    ncols, units = table.shape[1], -(-len(table) // CSV_UNIT_ROWS)
+    with tempfile.TemporaryDirectory() as tmp:
+        rows, text = Path(tmp, "rows"), Path(tmp, "text")
+        table.tofile(rows)  # C-contiguous rows of native float64
+        text.touch()  # read below also if the child never writes a unit
+        done = []  # byte counts of the units the child has written, the last unit first
+        heard = threading.Event()  # set at the child's first report, or at its exit
+
+        def listen():
+            while len(report := proc.stdout.read(8)) == 8:
+                done.append(int.from_bytes(report, "little"))
+                heard.set()
+            heard.set()
+
+        listener = threading.Thread(target=listen)
+        proc = subprocess.Popen([sys.executable, "-I", "-S", _csv_rows.__file__, str(ncols),
+                                 str(rows), str(text)], stdout=subprocess.PIPE)
         try:
-            with proc.stdin:
-                proc.stdin.write(table[split:])  # C-contiguous rows of native float64
-        except BrokenPipeError:
-            pass  # the child exited early; its status says why
-        fh.writelines(csv_blocks(table[:split].ravel(), ncols))
-        fh.flush()
-        shutil.copyfileobj(proc.stdout, fh.buffer)
-        status = proc.wait()
-    finally:
-        proc.kill()  # no-op once the child is reaped
-        proc.wait()
-        proc.stdout.close()
-    if status:
-        raise OSError(f"the CSV formatter child {sys.executable} exited with status {status}")
+            listener.start()
+            blocks, mine = csv_blocks(table.ravel(), ncols), 0
+            while mine < units - len(done):  # done only grows: a stale length costs one unit
+                fh.write(next(blocks))
+                mine += 1
+            heard.wait()  # a child that failed to start has exited by now, without a report
+            status = proc.poll() if done else proc.wait()
+            if status:
+                raise OSError(f"the CSV formatter child {sys.executable} exited with status {status}")
+            fh.flush()
+            theirs = done[:units - mine]
+            offset = sum(theirs)
+            with open(text, "rb") as src:
+                for size in reversed(theirs):  # the child wrote its units last first
+                    offset -= size
+                    src.seek(offset)
+                    fh.buffer.write(src.read(size))
+        finally:
+            proc.kill()  # no-op once the child is reaped
+            proc.wait()
+            listener.join()
+            proc.stdout.close()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -447,7 +474,7 @@ def _check_inputs(args) -> None:
     ones, below samples for a profile, whose n nodes fewer samples cannot
     resolve), samples >= 2, umin < umax, and R^2 + u^2 finite at the ends
     of each u range (its power 1.5 for potentials; report-figures also at
-    +-40R)."""
+    +-40R), with --lambda also 4 v_F^2 and v_F'^2."""
     CatenoidParams(args.R)
     ConstantVF(args.vf)
     if hasattr(args, "m") and not abs(args.m) <= 2**53:
@@ -476,6 +503,11 @@ def _check_inputs(args) -> None:
             for u in ends:
                 if not math.isfinite((args.R**2 + np.square(u)) ** power):
                     raise ValueError(f"(R^2 + u^2)^{power} overflows at u = {u:g}")
+                # with --lambda, vbar_eff divides by 4 v_F^2 and adds v_F'^2
+                if getattr(args, "lam", None) is not None and not np.isfinite(
+                        [4.0 * np.square(fermi_velocity(ScarfVF(args.lam), CatenoidParams(args.R), u)),
+                         np.square(2.0 * args.lam * u / args.R**2)]).all():
+                    raise ValueError(f"4 v_F^2 or v_F'^2 overflows at u = {u:g}")
 
 
 def main(argv=None) -> int:

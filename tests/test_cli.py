@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 
 import catenoid_dirac
 from catenoid_dirac import cli
+from catenoid_dirac._csv_rows import csv_blocks
 from catenoid_dirac.cli import (
     CSV_BLOCK_ROWS,
+    CSV_UNIT_ROWS,
     SPECTRUM_POINTS,
     _check_inputs,
     _write_csv,
@@ -435,6 +438,9 @@ REJECTED_INPUTS = [
     ["potentials", "--m", "3", "--umin=-1e103", "--umax=1e103"],
     ["wavefunction", "--m", "3", "--n", "0", "--umin=-1e160", "--umax=1e160"],
     ["report-figures", "--allow-invalid", "--R", "1e153"],  # its +-40R norm box
+    # 4 v_F^2 overflows at an end, where vbar_eff drops its velocity-gradient
+    # term and U_eff1 = V_eff1 = 1.2e-199 at u = 1e100 (the true value is 1.8e-199)
+    ["potentials", "--m", "3", "--lambda", "1", "--umin=-1e100", "--umax=1e100"],
 ]
 
 
@@ -445,11 +451,12 @@ def test_rejected_input(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-# just inside the bound on R^2 + u^2 at the ends of the u ranges
+# just inside the bounds on R^2 + u^2 (and 4 v_F^2) at the ends of the u ranges
 @pytest.mark.parametrize("argv", [
     ["potentials", "--m", "3", "--umin=-5e102", "--umax=5e102"],
     ["wavefunction", "--m", "3", "--n", "0", "--umin=-1e154", "--umax=1e154"],
     ["report-figures", "--allow-invalid", "--R", "3.3e152"],
+    ["potentials", "--m", "3", "--lambda", "1", "--umin=-8e76", "--umax=8e76"],  # and 4 v_F^2
 ], ids=" ".join)
 def test_largest_u_ranges_accepted(argv):
     _check_inputs(build_parser().parse_args(argv + ["--out", "x"]))
@@ -483,11 +490,13 @@ def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     rng = np.random.default_rng(rows * 10 + ncols)
     flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
     flat[::3] = np.resize(CSV_VALUES, flat[::3].size)
-    # from two blocks on, the rows after the split go to the child: every
-    # special value lands on both sides of it
-    split = CSV_BLOCK_ROWS * (rows // (2 * CSV_BLOCK_ROWS)) * ncols
-    for side in (flat[:split], flat[split:]) if split else ():
-        assert {repr(v) for v in side.tolist()} >= {repr(v) for v in CSV_VALUES}
+    # from two blocks on, this process and the child meet at a unit boundary
+    # that depends on timing: every special value lands in every unit with
+    # room for them all
+    step = CSV_UNIT_ROWS * ncols
+    for unit in (flat[start:start + step] for start in range(0, flat.size, step)):
+        if unit.size >= 3 * len(CSV_VALUES):
+            assert {repr(v) for v in unit.tolist()} >= {repr(v) for v in CSV_VALUES}
     cols = list(flat.reshape(rows, ncols).T)
     header = [f"c{j}" for j in range(ncols)]
     out, oracle = tmp_path / "out.csv", tmp_path / "oracle.csv"
@@ -496,6 +505,43 @@ def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
         np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
                    header=",".join(header), comments="")
     assert out.read_bytes() == oracle.read_bytes()
+
+
+# forced meeting points of the two-process writer: "none" runs a child that
+# exits 0 without a report, so this process formats every unit; an integer
+# k holds this process at its k-th unit until the child has finished and
+# reported every unit, so the child's text fills the file from unit k on
+@pytest.mark.parametrize("meet", ["none", 1, "middle"])
+@pytest.mark.parametrize("rows, ncols", [(2 * CSV_BLOCK_ROWS + 1, 3), (100001, 5)])
+def test_write_csv_meeting_points_match_savetxt(tmp_path, monkeypatch, rows, ncols, meet):
+    units = -(-rows // CSV_UNIT_ROWS)
+    mine = {"none": units, "middle": units // 2}.get(meet, meet)
+    if meet == "none":
+        exe = tmp_path / "silent-python"
+        exe.write_text("#!/bin/sh\nexit 0\n")
+        exe.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(exe))
+    before, formatted = set(threading.enumerate()), []
+
+    def paced(values, ncols):
+        for k, text in enumerate(csv_blocks(values, ncols), 1):
+            if k == mine:  # the reader thread ends at the child's exit, after its last report
+                for thread in set(threading.enumerate()) - before:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            formatted.append(k)
+            yield text
+
+    monkeypatch.setattr(cli, "csv_blocks", paced)
+    flat = np.resize(CSV_VALUES + [1.5e-7, -2.5e300], rows * ncols)
+    cols = list(flat.reshape(rows, ncols).T)
+    out, oracle = tmp_path / "out.csv", tmp_path / "oracle.csv"
+    _write_csv(out, [f"c{j}" for j in range(ncols)], cols)
+    np.savetxt(oracle, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header=",".join(f"c{j}" for j in range(ncols)), comments="")
+    assert len(formatted) == mine
+    assert out.read_bytes() == oracle.read_bytes()
+    _assert_no_child_left()
 
 
 def _assert_no_child_left():
