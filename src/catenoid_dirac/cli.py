@@ -3,11 +3,9 @@
 Every data file gets a JSON manifest sidecar at <out>.manifest.json with
 the tool version, the command, every parsed option but --out and --format,
 truncation metadata, and any validity flags raised during the run.  CSV
-uses 17 significant digits so files round-trip bit-exactly.  A table of two
-or more CSV_BLOCK_ROWS blocks is formatted in two processes that meet in
-the middle: this process from the first row up, a stdlib-only child
-interpreter from the last row down, each whole CSV_UNIT_ROWS units, so the
-file holds the same bytes as from one process.
+uses 17 significant digits so files round-trip bit-exactly; ``_csv_rows``
+formats them in bulk with numpy, CSV_UNIT_ROWS rows at a time, and from
+two such chunks on a helper thread formats every other chunk.
 """
 
 from __future__ import annotations
@@ -16,15 +14,13 @@ import argparse
 import json
 import math
 import sys
-import tempfile
-import threading
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _csv_rows
-from ._csv_rows import CSV_BLOCK_ROWS, CSV_UNIT_ROWS, csv_blocks
+from . import __version__
+from ._csv_rows import CSV_UNIT_ROWS, csv_text
 from .analytic import (
     QuantumNumbers,
     constant_case_rspace_potential,
@@ -69,84 +65,32 @@ ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
-    """Header line, then one "%.17g" row per sample, comma-separated.
-
-    ``_csv_rows.csv_blocks`` formats CSV_UNIT_ROWS rows per % call: the
-    same bytes as np.savetxt, without its per-row Python loop.  A table of
-    two or more CSV_BLOCK_ROWS blocks is formatted by this process and a
-    child interpreter that meet in the middle (see ``_write_split``); a
-    smaller one never starts a process.  Returns one validity flag per
-    column with non-finite cells, naming its count and the first value of
-    the first column (u) at which one occurs.
+    """Header line, then one "%.17g" row per sample, comma-separated: the
+    same bytes as np.savetxt.  ``csv_text`` formats CSV_UNIT_ROWS rows at a
+    time; from two such chunks on, a helper thread formats each odd chunk
+    while this thread formats and writes the even one before it, so two
+    chunks at most are held at once.  Returns one validity flag per column
+    with non-finite cells, naming its count and the first value of the
+    first column (u) at which one occurs.
     """
     table = np.column_stack(columns).astype(float, copy=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        if len(table) >= 2 * CSV_BLOCK_ROWS:
-            _write_split(fh, table)
+    chunks = [table[start:start + CSV_UNIT_ROWS] for start in range(0, len(table), CSV_UNIT_ROWS)]
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if len(chunks) < 2:
+            fh.writelines(map(csv_text, chunks))
         else:
-            fh.writelines(csv_blocks(table.ravel(), table.shape[1]))
+            from concurrent.futures import ThreadPoolExecutor  # a few ms that one chunk never needs
+
+            with ThreadPoolExecutor(1) as helper:
+                for even in range(0, len(chunks), 2):
+                    odd = [helper.submit(csv_text, chunk) for chunk in chunks[even + 1:even + 2]]
+                    fh.write(csv_text(chunks[even]))
+                    fh.writelines(future.result() for future in odd)
     bad = ~np.isfinite(table)
     return [f"{name}: {count} of {len(table)} cells are not finite, the first at u = "
             f"{table[col.argmax(), 0]:g}"
             for name, col, count in zip(header, bad.T, bad.sum(axis=0)) if count]
-
-
-def _write_split(fh, table: np.ndarray) -> None:
-    """CSV_UNIT_ROWS units formatted here from the first one up, and by a
-    child interpreter from the last one down, until the two meet.
-
-    The child runs ``_csv_rows`` with ``-I -S`` (no site, no user paths) on
-    another core.  It reads the rows from a temporary file, appends the
-    text of each unit to another, and reports the unit's byte count on its
-    stdout, which a thread here reads.  This process stops at the first
-    unit the child has reported, waits for the child's first report or its
-    exit, then copies the child's units after its own in file order.  A
-    child that exits non-zero raises OSError.  The child is stopped and
-    reaped before return, also when this raises.
-    """
-    import subprocess  # about 6 ms of import that a table under two blocks never needs
-
-    ncols, units = table.shape[1], -(-len(table) // CSV_UNIT_ROWS)
-    with tempfile.TemporaryDirectory() as tmp:
-        rows, text = Path(tmp, "rows"), Path(tmp, "text")
-        table.tofile(rows)  # C-contiguous rows of native float64
-        text.touch()  # read below also if the child never writes a unit
-        done = []  # byte counts of the units the child has written, the last unit first
-        heard = threading.Event()  # set at the child's first report, or at its exit
-
-        def listen():
-            while len(report := proc.stdout.read(8)) == 8:
-                done.append(int.from_bytes(report, "little"))
-                heard.set()
-            heard.set()
-
-        listener = threading.Thread(target=listen)
-        proc = subprocess.Popen([sys.executable, "-I", "-S", _csv_rows.__file__, str(ncols),
-                                 str(rows), str(text)], stdout=subprocess.PIPE)
-        try:
-            listener.start()
-            blocks, mine = csv_blocks(table.ravel(), ncols), 0
-            while mine < units - len(done):  # done only grows: a stale length costs one unit
-                fh.write(next(blocks))
-                mine += 1
-            heard.wait()  # a child that failed to start has exited by now, without a report
-            status = proc.poll() if done else proc.wait()
-            if status:
-                raise OSError(f"the CSV formatter child {sys.executable} exited with status {status}")
-            fh.flush()
-            theirs = done[:units - mine]
-            offset = sum(theirs)
-            with open(text, "rb") as src:
-                for size in reversed(theirs):  # the child wrote its units last first
-                    offset -= size
-                    src.seek(offset)
-                    fh.buffer.write(src.read(size))
-        finally:
-            proc.kill()  # no-op once the child is reaped
-            proc.wait()
-            listener.join()
-            proc.stdout.close()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -515,7 +459,7 @@ def main(argv=None) -> int:
     try:
         _check_inputs(args)
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

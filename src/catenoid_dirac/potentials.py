@@ -4,6 +4,27 @@ Covers the u-space potentials for both spinor components, the auxiliary
 decoupling functions, the Fermi-velocity profiles (constant and the
 sec^2-shaped ansatz), and the transformed potentials in the compact
 coordinates x = atan(u/R) and r = sin x.
+
+The sec^2-velocity problem, v_F = lam (1 + u^2/R^2), follows from the
+first-order Dirac system in five steps:
+
+1. Take the Hermitian position-dependent-velocity Hamiltonian
+   -i sqrt(v_F) sigma.grad sqrt(v_F), with Sigma and Lambda of
+   ``sigma_lambda`` (Sigma - Lambda = 2W).
+2. A factor on both components removes the common drift:
+   (d/du + W) phi1 = -i (E/v_F) phi2 and (d/du - W) phi2 = -i (E/v_F) phi1.
+3. Multiply by v_F and put x = (lam/R) int du/v_F = atan(u/R).  Since
+   v_F W = (lam/R) m sec x, the system becomes (d/dx + m sec x) phi1 =
+   -i eps phi2 and (d/dx - m sec x) phi2 = -i eps phi1, with eps = R E/lam.
+4. That is constant-velocity SUSY quantum mechanics on (-pi/2, pi/2) with
+   the plain L^2(dx) norm.  Its squared form H1 = m^2 sec^2 x - m sec x tan x
+   is ``transformed_partner_potential(-m, x)``, which equals
+   (R/lam)^2 v_F [v_F (W^2 - W') - v_F' W] in u; H2 is the same at +m.
+5. The unsymmetrized ordering -i v_F sigma.grad gives the same system up
+   to a common factor on both components, and so the same levels.
+
+These are not the levels of ``scarf_form_pdfv``, from which the sec^2
+closed forms start; which equation the paper means is open.
 """
 
 from __future__ import annotations

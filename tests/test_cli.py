@@ -3,17 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catenoid_dirac
-from catenoid_dirac import cli
-from catenoid_dirac._csv_rows import csv_blocks
+from catenoid_dirac import _csv_rows, cli
+from catenoid_dirac._csv_rows import E_MAX, E_MIN, csv_text
 from catenoid_dirac.cli import (
-    CSV_BLOCK_ROWS,
     CSV_UNIT_ROWS,
     SPECTRUM_POINTS,
     _check_inputs,
@@ -441,6 +444,11 @@ REJECTED_INPUTS = [
     # 4 v_F^2 overflows at an end, where vbar_eff drops its velocity-gradient
     # term and U_eff1 = V_eff1 = 1.2e-199 at u = 1e100 (the true value is 1.8e-199)
     ["potentials", "--m", "3", "--lambda", "1", "--umin=-1e100", "--umax=1e100"],
+    # 2**50 samples ask numpy for 8 PiB, beyond the address space, so the
+    # allocation fails before any page is touched
+    ["potentials", "--samples", str(2**50)],
+    ["wavefunction", "--m", "3", "--n", "0", "--samples", str(2**50)],
+    ["report-figures", "--allow-invalid", "--samples", str(2**50)],
 ]
 
 
@@ -483,16 +491,13 @@ CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-3
 
 
 @pytest.mark.parametrize("ncols", [1, 3, 5])
-@pytest.mark.parametrize("rows", [1, 2, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                  20001, 2 * CSV_BLOCK_ROWS - 1, 2 * CSV_BLOCK_ROWS,
-                                  2 * CSV_BLOCK_ROWS + 1, 100001])
+@pytest.mark.parametrize("rows", [1, 2, 8191, 8192, 8193, 20001, 16383, 16384, 16385, 100001])
 def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     rng = np.random.default_rng(rows * 10 + ncols)
     flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
     flat[::3] = np.resize(CSV_VALUES, flat[::3].size)
-    # from two blocks on, this process and the child meet at a unit boundary
-    # that depends on timing: every special value lands in every unit with
-    # room for them all
+    # every special value lands in every CSV_UNIT_ROWS chunk with room for
+    # them all, so the calling thread and the helper thread each format them
     step = CSV_UNIT_ROWS * ncols
     for unit in (flat[start:start + step] for start in range(0, flat.size, step)):
         if unit.size >= 3 * len(CSV_VALUES):
@@ -507,91 +512,116 @@ def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     assert out.read_bytes() == oracle.read_bytes()
 
 
-# forced meeting points of the two-process writer: "none" runs a child that
-# exits 0 without a report, so this process formats every unit; an integer
-# k holds this process at its k-th unit until the child has finished and
-# reported every unit, so the child's text fills the file from unit k on
-@pytest.mark.parametrize("meet", ["none", 1, "middle"])
-@pytest.mark.parametrize("rows, ncols", [(2 * CSV_BLOCK_ROWS + 1, 3), (100001, 5)])
-def test_write_csv_meeting_points_match_savetxt(tmp_path, monkeypatch, rows, ncols, meet):
-    units = -(-rows // CSV_UNIT_ROWS)
-    mine = {"none": units, "middle": units // 2}.get(meet, meet)
-    if meet == "none":
-        exe = tmp_path / "silent-python"
-        exe.write_text("#!/bin/sh\nexit 0\n")
-        exe.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(exe))
-    before, formatted = set(threading.enumerate()), []
-
-    def paced(values, ncols):
-        for k, text in enumerate(csv_blocks(values, ncols), 1):
-            if k == mine:  # the reader thread ends at the child's exit, after its last report
-                for thread in set(threading.enumerate()) - before:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-            formatted.append(k)
-            yield text
-
-    monkeypatch.setattr(cli, "csv_blocks", paced)
-    flat = np.resize(CSV_VALUES + [1.5e-7, -2.5e300], rows * ncols)
-    cols = list(flat.reshape(rows, ncols).T)
-    out, oracle = tmp_path / "out.csv", tmp_path / "oracle.csv"
-    _write_csv(out, [f"c{j}" for j in range(ncols)], cols)
-    np.savetxt(oracle, np.column_stack(cols), fmt="%.17g", delimiter=",",
-               header=",".join(f"c{j}" for j in range(ncols)), comments="")
-    assert len(formatted) == mine
-    assert out.read_bytes() == oracle.read_bytes()
-    _assert_no_child_left()
+def _assert_kernel_matches_percent_g(values, ncols=1):
+    """csv_text writes each cell of the row-major values as b"%.17g" % x."""
+    values = np.asarray(values, dtype=float)
+    cells = [b"%.17g" % v for v in values.tolist()]
+    want = [b",".join(cells[i:i + ncols]) for i in range(0, len(cells), ncols)]
+    got = csv_text(values.reshape(-1, ncols)).split(b"\n")
+    assert got.pop() == b""
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, f"{len(bad)} rows differ, the first: {bad[:1]}"
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=40))
+def test_kernel_matches_percent_g_on_any_float(values):
+    _assert_kernel_matches_percent_g(values)
 
 
-def test_write_csv_under_two_blocks_starts_no_process(tmp_path, monkeypatch):
+def test_kernel_matches_percent_g_on_random_bit_patterns():
+    bits = np.random.default_rng(2718).integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False)
+    _assert_kernel_matches_percent_g(bits.view(np.float64), ncols=4)
+
+
+def test_kernel_matches_percent_g_on_exact_ties():
+    # A * 2**-j with A odd has the decimal significand A * 5**j, which ends
+    # in 5: with 18 significant digits, its 17-digit rounding is an exact
+    # tie, which "%.17g" breaks to even.  Odd A < 2**53 with 10**17 <=
+    # A * 5**j < 10**18 exist for 4 <= j <= 25.
+    rng = np.random.default_rng(31415)
+    ties = []
+    for j in range(4, 26):
+        low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [math.ldexp(a, -j) for a in (rng.integers(low, high, 500) | 1).tolist() if a < high]
+    ties = np.array(ties)
+    assert len(ties) > 10000
+    _assert_kernel_matches_percent_g(np.concatenate([ties, -ties, np.nextafter(ties, 0), np.nextafter(ties, 1.0e300)]))
+
+
+def _with_neighbours(values, count):
+    """values and the count floats on either side of each."""
+    up = down = np.asarray(values, dtype=float)
+    out = [up]
+    for _ in range(count):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_kernel_matches_percent_g_at_notation_boundaries():
+    # "%.17g" writes 0.0001 but 1.0000000000000001e-05, and 10000000000000000
+    # but 1e+17; the floats just below each boundary round up onto it
+    bounds = np.array([1e-5, 1e-4, 1e16, 1e17])
+    near = np.concatenate([_with_neighbours(bounds, 40), (bounds * (1 - 10.0 ** -np.arange(12, 18)[:, None])).ravel()])
+    _assert_kernel_matches_percent_g(np.concatenate([near, -near]))
+
+
+def test_kernel_matches_percent_g_next_to_every_power_of_ten():
+    _assert_kernel_matches_percent_g(_with_neighbours([float(f"1e{k}") for k in range(-308, 309)], 1))
+
+
+def test_kernel_powers_of_ten_hold_about_106_bits():
+    for e, (hi, lo) in zip(range(E_MIN, E_MAX + 1), _csv_rows._powers().tolist()):
+        exact = Fraction(10) ** (16 - e)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) < 2.0**-102 * exact
+
+
+# the cells of the export workload's tables (100001 rows) that the kernel
+# leaves to Python's formatter: each table's u = 0 and every exact 0, and
+# the rare cell whose fraction of y lies within TIE_MARGIN of 1/2
+@pytest.mark.parametrize("argv, expected", [
+    (["potentials", "--R", "1", "--m", "3"], [0.0]),
+    (["potentials", "--R", "1.5", "--m", "-2", "--lambda", "0.8"], [0.0]),
+    (["wavefunction", "--R", "1", "--m", "3", "--n", "2"], [0.0]),
+    (["wavefunction", "--R", "1", "--m", "2", "--n", "1", "--lambda", "1"], [0.0, 0.0028871012842567215]),
+    (["report-figures", "--allow-invalid"], [0.0, 0.0, 0.0019584238674455455]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) and isinstance(v[0], str) else "")
+def test_export_tables_fall_back_in_few_cells(tmp_path, monkeypatch, argv, expected):
+    decimal, fallbacks = _csv_rows._decimal, []
+
+    def counting(x):
+        digits, exponent, certified = decimal(x)
+        fallbacks.extend(x[~certified].tolist())
+        return digits, exponent, certified
+
+    monkeypatch.setattr(_csv_rows, "_decimal", counting)
+    assert main(argv + ["--samples", "100001", "--out", str(tmp_path / "out.csv")]) == 0
+    assert sorted(fallbacks) == expected
+
+
+def test_write_csv_starts_no_process_and_no_temporary_file(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("started a process")
+        raise AssertionError("started a process or made a temporary file")
 
-    monkeypatch.setattr(subprocess, "Popen", refuse)
-    u = np.arange(2.0 * CSV_BLOCK_ROWS - 1)
-    _write_csv(tmp_path / "out.csv", ["u"], [u])
-
-
-@pytest.fixture
-def failing_interpreter(tmp_path, monkeypatch):
-    """sys.executable pointed at a program that exits with status 3."""
-    exe = tmp_path / "failing-python"
-    exe.write_text("#!/bin/sh\nexit 3\n")
-    exe.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(exe))
+    for module, name in [(subprocess, "Popen"), (os, "fork"), (os, "posix_spawn"),
+                         (tempfile, "mkdtemp"), (tempfile, "mkstemp")]:
+        monkeypatch.setattr(module, name, refuse)
+    u = np.linspace(-10.0, 10.0, 100001)
+    _write_csv(tmp_path / "out.csv", ["u", "v"], [u, u**2])
 
 
-@pytest.mark.usefixtures("failing_interpreter")
-def test_write_csv_child_failure_raises(tmp_path):
-    u = np.arange(2.0 * CSV_BLOCK_ROWS)
-    with pytest.raises(OSError, match="exited with status 3"):
-        _write_csv(tmp_path / "out.csv", ["u"], [u])
-    _assert_no_child_left()
+def test_write_csv_raises_what_the_helper_thread_raised(tmp_path, monkeypatch):
+    def helper_fails(rows):
+        if threading.current_thread() is not threading.main_thread():
+            raise ArithmeticError("formatting failed in the helper thread")
+        return csv_text(rows)
 
-
-@pytest.mark.usefixtures("failing_interpreter")
-def test_main_reports_child_failure(tmp_path, capsys):
-    argv = ["potentials", "--samples", str(2 * CSV_BLOCK_ROWS), "--out", str(tmp_path / "p.csv")]
-    assert main(argv) == 1
-    assert "exited with status 3" in capsys.readouterr().err
-    _assert_no_child_left()
-
-
-def test_write_csv_reaps_child_when_parent_raises(tmp_path, monkeypatch):
-    def broken(values, ncols):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli, "csv_blocks", broken)
-    u = np.arange(2.0 * CSV_BLOCK_ROWS)
-    with pytest.raises(KeyboardInterrupt):
-        _write_csv(tmp_path / "out.csv", ["u"], [u])
-    _assert_no_child_left()
+    monkeypatch.setattr(cli, "csv_text", helper_fails)
+    before = set(threading.enumerate())
+    with pytest.raises(ArithmeticError, match="helper thread"):
+        _write_csv(tmp_path / "out.csv", ["u"], [np.arange(4.0 * CSV_UNIT_ROWS)])
+    assert set(threading.enumerate()) == before
 
 
 def test_write_csv_flags_non_finite_columns(tmp_path):

@@ -209,6 +209,17 @@ class TestLiouvilleIdentities:
         ref = m * m * sec**2 + 3.0 * m * sec * np.tan(self.x)
         assert np.max(np.abs(image - ref)) <= 3.4e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("R, m, lam", LIOUVILLE_POINTS)
+    def test_first_order_sec2_velocity_system_squares_to_transformed_partner(self, R, m, lam):
+        # steps 1-5 of the potentials docstring: with v_F W = (lam/R) m sec x,
+        # (R/lam)^2 v_F [v_F (W^2 - W') - v_F' W] is m^2 sec^2 x - m sec x tan x
+        params, u = CatenoidParams(R), R * np.tan(self.x)
+        vf, dvf = fermi_velocity(ScarfVF(lam), params, u), 2.0 * lam * u / R**2
+        w, dw = superpotential(params, m, u), superpotential_derivative(params, m, u)
+        image = (R / lam) ** 2 * vf * (vf * (w * w - dw) - dvf * w)
+        ref = transformed_partner_potential(-m, self.x)
+        assert np.max(np.abs(image - ref)) <= 1.1e-14 * np.max(np.abs(ref))
+
     @pytest.mark.xfail(
         strict=True,
         reason="the x-image of u_eff, m^2 sec^2 x + 3m sec x tan x, is not the Scarf "
