@@ -4,23 +4,24 @@ cell, computed in bulk with numpy.
 For |x| in [1e-280, 1e280] the 17 significant digits are round(y), with
 y = |x| * 10**(16 - floor(log10|x|)) a double-double product (Dekker,
 Numer. Math. 18, 1971) against a (hi, lo) table of powers of ten, exact to
-about 1e-14.  Each cell fills six 8-byte words from lookup tables, NUL in
-every empty slot: sign, "0." lead and leading digit; the digits before the
-point, then the point; the digits after it, to the last nonzero one; "e",
-the exponent and the separator.  One ``bytes.translate`` drops the NULs.
-Python's own formatter writes the cells the kernel cannot certify: 0, NaN,
-+-inf, |x| outside that range, a fraction of y within TIE_MARGIN of 1/2,
-and an exponent guess that puts y outside [1e16, 1e17).  The tables are
-built on first use, from numpy expressions.
+about 1e-14.  Each cell fills four 8-byte words from lookup tables, NUL in
+every empty byte: sign, "0." lead and leading digit, flush right; the
+digits and the point, then the separator, or "e", exponent and separator.
+A numpy mask, which runs without the GIL, drops the NULs.  Python's own
+formatter writes the cells the kernel cannot certify: 0, NaN, +-inf, |x|
+outside that range, a fraction of y within TIE_MARGIN of 1/2, and an
+exponent guess that puts y outside [1e16, 1e17).  The tables are built on
+first use.
 """
 
 from functools import cache
 
 import numpy as np
 
-CSV_UNIT_ROWS = 2048  # rows formatted at a time
+CSV_UNIT_ROWS = 4096  # rows formatted at a time
 E_MIN, E_MAX = -281, 280  # floor(log10|x|) for |x| in [1e-280, 1e280], with log10's rounding
 TIE_MARGIN = 1e-6  # a fraction of y this close to 1/2 goes to Python's formatter
+WORD = np.dtype("<u8")  # 8 text bytes, the first the lowest, so that << 8 moves them one byte on
 
 
 def _split(a):
@@ -59,10 +60,15 @@ def _slots():
     """The tables of ``csv_text``.  quad: the ASCII of 0000..9999 as 4-byte
     words; last[place][g]: the index among the digits 1-16 of the last
     nonzero digit of the group g at place 0-3, 0 for 0000.  By exponent -
-    E_MIN, point: the digits before the point, and lead: 1-4 where a "0."
-    lead and 0-3 zeros come first.  The words: head by sign * 50 + lead * 10
-    + leading digit, frame (words 1-4) by point * 17 + the index of the last
-    nonzero digit, tail by (exponent - E_MIN) * 2 + 1 at the end of a row.
+    E_MIN, plus E_MAX + 1 - E_MIN at the end of a row: point, 17 times the
+    digits before the point (18: one, then an exponent), plus 19 * 17 at a
+    row's end; lead, 10 times 1-4 where "0." and 0-3 zeros lead; tail, "e",
+    the exponent and the separator from byte 17 after the head, none when
+    fixed-point.  head by sign * 50 + lead + leading digit, flush right.
+    frame by point + the index of the last nonzero digit: 3 x 3 words over
+    the 24 bytes after the head, masks of the digits before the point (from
+    bytes 0-15) and after it (from bytes 1-16), then the point and a
+    fixed-point cell's separator.
     """
     digit = np.arange(10, dtype=np.uint8)
     quad, last = np.empty((10,) * 4 + (4,), np.uint8), np.zeros((10,) * 4, np.uint8)
@@ -73,24 +79,20 @@ def _slots():
     last = (last.ravel() + np.arange(0, 16, 4, dtype=np.uint8)[:, None]) * (last.ravel() > 0)
     exponent = np.arange(E_MIN, E_MAX + 1)
     fixed = (exponent >= -4) & (exponent <= 16)  # "%.17g" writes these without an exponent
-    point = np.where(fixed, np.maximum(exponent + 1, 0), 1)
-    lead = np.where(fixed & (exponent < 0), -exponent, 0)
-    head = np.zeros((2, 5, 10, 8), np.uint8)
-    head[1, ..., 0] = ord("-")
-    leads = np.frombuffer(b"\0\0\0\0\0" b"0.\0\0\0" b"0.0\0\0" b"0.00\0" b"0.000", np.uint8)
-    head[..., 1:6] = leads.reshape(5, 1, 5)
-    head[..., 6] = np.arange(48, 58)
-    j, p, z = np.arange(1, 17), np.arange(18)[:, None, None], np.arange(17)[:, None]
-    frame = np.concatenate([np.broadcast_to(j < p, (18, 17, 16)) * 255,
-                            ((j == p) & (z >= p) & (p > 0)) * ord("."),
-                            ((j >= p) & (j <= z)) * 255], axis=2).astype(np.uint8)
-    size, sign = np.abs(exponent)[:, None], np.where(exponent < 0, ord("-"), ord("+"))[:, None]
-    figures = (size >= [100, 0, 0]) * (size // [100, 10, 1] % 10 + 48)  # 2 or 3 of them
-    tail = np.zeros((len(exponent), 2, 8), np.uint8)
-    tail[..., :5] = (~fixed[:, None] * np.hstack([np.full_like(size, ord("e")), sign, figures]))[:, None]
-    tail[..., 5] = [ord(","), ord("\n")]
-    return (quad.view(np.uint32).ravel(), last, point, lead, head.view(np.uint64).ravel(),
-            frame.reshape(18 * 17, 48).view(np.uint64), tail.view(np.uint64).ravel())
+    point = (np.where(fixed, np.maximum(exponent + 1, 0), 18) * 17 + [[0], [19 * 17]]).ravel()
+    lead = np.tile(np.where(fixed & (exponent < 0), -exponent, 0) * 10, 2)
+    head = b"".join((sign + b"0.000"[:n + (n > 0)] + b"%d" % d).rjust(8, b"\0")
+                    for sign in (b"", b"-") for n in range(5) for d in range(10))
+    tail = b"".join((b"" if f else b"\0e%+03d" % e + end).ljust(8, b"\0")
+                    for end in (b",", b"\n") for e, f in zip(exponent.tolist(), fixed))
+    k, p, z = np.arange(24), np.arange(19)[:, None, None], np.arange(17)[:, None]
+    d = np.where(p == 18, 1, p)  # the digits before the point; 18: one, then an exponent
+    size = np.where(z >= d, z + (d > 0), d - 1)  # of the text after the head: "," (44) or "\n" (10) next
+    masks = [((k + 1 < d) | ((d == 0) & (k < z))) * 255, ((d > 0) & (k >= d) & (k <= z)) * 255,
+             ((k + 1 == d) & (z >= d)) * ord(".") + ((k == size) & (p < 18)) * np.array([[[[44]]], [[[10]]]])]
+    frame = np.stack(np.broadcast_arrays(*masks)).astype(np.uint8).reshape(3, -1, 24).view(WORD)
+    return (quad.view(np.uint32).ravel(), last, point, lead, np.frombuffer(head, WORD),
+            frame.transpose(0, 2, 1).reshape(9, -1).copy(), np.frombuffer(tail, WORD))
 
 
 def _decimal(x: np.ndarray):
@@ -104,10 +106,9 @@ def _decimal(x: np.ndarray):
     hi, lo = _powers().take(exponent - E_MIN, axis=0).T
     p, e = _two_product(a, hi)
     e += a * lo  # y = p + e
-    up = np.floor(e + 0.5)  # p >= 2**53 is an integer, so y rounds to p + up
-    t = (e + 0.5) - up  # the fraction of y, plus 1/2
+    up = np.floor(e + 0.5)  # p >= 2**53 is an integer, so y rounds to p + up, off by e - up
     digits = p.astype(np.int64) + up.astype(np.int64)
-    certified = (in_range & (np.abs(t - 0.5) < 0.5 - TIE_MARGIN) & (digits < 10**17)
+    certified = (in_range & (np.abs(e - up) < 0.5 - TIE_MARGIN) & (digits < 10**17)
                  & ((p - 1e16) + e >= 0))
     return digits, exponent, certified
 
@@ -116,26 +117,30 @@ def csv_text(rows: np.ndarray) -> bytes:
     """The CSV text of a 2-D float64 array: its "%.17g" cells, "," between
     them and "\\n" after each row, the same bytes as np.savetxt."""
     x = rows.ravel()
-    digits, exponent, certified = _decimal(x)
+    low, at, certified = _decimal(x)
     quad, last, point, lead, head, frame, tail = _slots()
-    digits = np.where(certified, digits, 10**16)  # keeps every index below in its table
-    at = np.where(certified, exponent - E_MIN, -E_MIN)
-    top, low = digits // 10**8, digits % 10**8
-    groups = [top // 10**4 % 10**4, top % 10**4, low // 10**4, low % 10**4]
-    body = np.stack([quad.take(g) for g in groups], axis=1).view(np.uint64)  # the digits 1-8 and 9-16
-    final = np.max([last[place].take(g) for place, g in enumerate(groups)], axis=0)
-    masks = frame.take(point.take(at) * 17 + final, axis=0)
-    ends = at.reshape(rows.shape) * 2
-    ends[:, -1] += 1
-    out = np.empty((len(x), 6), np.uint64)
-    out[:, 0] = head.take((x < 0) * 50 + lead.take(at) * 10 + top // 10**8)
-    for word in range(2):
-        out[:, 1 + word] = body[:, word] & masks[:, word] | masks[:, 2 + word]
-        out[:, 3 + word] = body[:, word] & masks[:, 4 + word]
-    out[:, 5] = tail.take(ends.ravel())
+    low = np.where(certified, low, 10**16)  # the digits; 10**16 keeps every index below in its table
+    at = np.where(certified, at - E_MIN, -E_MIN)
+    at.reshape(rows.shape)[:, -1] += E_MAX + 1 - E_MIN  # "\n", not ",", after the last cell of a row
+    top = low // 10**8
+    low -= top * 10**8
+    first, upper, lower = top // 10**8, top // 10**4, low // 10**4
+    top -= upper * 10**4
+    upper -= first * 10**4
+    low -= lower * 10**4
+    groups = [upper, top, lower, low]  # the digits 1-4, 5-8, 9-12 and 13-16
+    key = point.take(at) + np.maximum(*(np.maximum(last[i].take(groups[i]), last[i + 1].take(groups[i + 1]))
+                                            for i in (0, 2)))
+    u0, u1 = (np.stack([quad.take(g) for g in groups[i:i + 2]], axis=1).view(WORD).ravel() for i in (0, 2))
+    out = np.empty((len(x), 4), WORD)
+    out[:, 0] = head.take((x < 0) * 50 + lead.take(at) + first)
+    # the digits 1-16 at bytes 0-15 (u0, u1) and at bytes 1-16 (u0 << 8, u1 << 8 | u0 >> 56, u1 >> 56)
+    np.bitwise_or(u0 & frame[0].take(key) | u0 << 8 & frame[3].take(key), frame[6].take(key), out=out[:, 1])
+    np.bitwise_or(u1 & frame[1].take(key) | (u1 << 8 | u0 >> 56) & frame[4].take(key), frame[7].take(key),
+                  out=out[:, 2])
+    np.bitwise_or(u1 >> 56 & frame[5].take(key) | frame[8].take(key), tail.take(at), out=out[:, 3])
     cells = out.view(np.uint8)
     for i in np.flatnonzero(~certified):
-        cell = b"%.17g" % x[i]
-        cells[i, :45] = 0
-        cells[i, :len(cell)] = np.frombuffer(cell, np.uint8)
-    return cells.tobytes().translate(None, b"\0")
+        cell = b"%.17g" % x[i] + cells[i, 8:9].tobytes()  # the separator, after the head "1"
+        cells[i] = np.frombuffer(cell.ljust(32, b"\0"), np.uint8)
+    return cells[cells != 0].tobytes()

@@ -38,6 +38,7 @@ __all__ = [
     "scarf_params_physical",
     "scarf_endpoint_kappa",
     "energy_pdfv",
+    "energy_first_order_pdfv",
     "eigenfunction_pdfv",
     "superpotential_pdfv",
     "partner_eigenfunction_pdfv",
@@ -440,6 +441,18 @@ def energy_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers) 
             math.nan, valid=False, reason=f"(A+n)^2 - 1 = {rad:g} is negative"
         )
     return _finite_level(scarf.lam / params.R * math.sqrt(rad))
+
+
+def energy_first_order_pdfv(params: CatenoidParams, lam: float, qn: QuantumNumbers) -> EnergyLevel:
+    """|E_n| = (lam/R)(|m| + n + 1/2) for m != 0 and (lam/R)(n + 1) for m = 0:
+    the levels of the first-order sec^2-velocity system (steps 1-5 of the
+    ``potentials`` docstring).  In eps = R E/lam its squared form m^2 sec^2 x
+    - m sec x tan x is, for m != 0, Scarf I with A = |m| + 1/2, B = +-1/2
+    and levels (A+n)^2, and at m = 0 the free box (-pi/2, pi/2) with levels
+    (n+1)^2.  No zero mode is normalizable, so both components share these
+    levels.  Invalid when |E_n| is not finite."""
+    ScarfVF(lam)
+    return _finite_level(lam / params.R * (abs(qn.m) + qn.n + (0.5 if qn.m else 1.0)))
 
 
 def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: float = 0.0):

@@ -490,8 +490,12 @@ CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-3
               1.7976931348623157e308, 3.0, 0.1, -1e-5]
 
 
+# one row either side of, and at, k chunks: k = 1 is the calling thread
+# alone, 2 ends on the helper's chunk, 3 on the calling thread's after a
+# helper's, 4 on the helper's second; 20001 rows is off every boundary
 @pytest.mark.parametrize("ncols", [1, 3, 5])
-@pytest.mark.parametrize("rows", [1, 2, 8191, 8192, 8193, 20001, 16383, 16384, 16385, 100001])
+@pytest.mark.parametrize("rows", [1, 2, *(k * CSV_UNIT_ROWS + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)),
+                                  20001, 100001])
 def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     rng = np.random.default_rng(rows * 10 + ncols)
     flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
