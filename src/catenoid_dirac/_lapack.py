@@ -3,23 +3,22 @@
 The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) and
 ``dstein`` (inverse iteration) of the LAPACK that scipy's compiled extension
 ``scipy/linalg/_flapack`` links, opened without importing any scipy module;
-``lowest_levels``, which walks the bisection tree of one ``dstebz`` call
-from a work queue that two threads drain and returns that call's levels bit
-for bit; and ``eigenvectors``, which runs ``dstein`` on levels already
-found.  ``numeric`` imports this module on its first eigensolve, so
+``lowest_levels``, which splits the bisection tree of one ``dstebz`` call
+in two, bisects one half on each of two threads and returns that call's
+levels bit for bit; and ``eigenvectors``, which runs ``dstein`` on levels
+already found.  ``numeric`` imports this module on its first eigensolve, so
 importing the package compiles and opens none of it.
 """
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
 import threading
-from functools import cache, partial
+from functools import cache
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -29,10 +28,10 @@ import numpy as np
 def lowest_levels(d, e, k: int) -> np.ndarray:
     """Levels 1..k of the symmetric tridiagonal (d, e), ascending: those of
     one ``dstebz`` call in index mode with tolerance 0, bit for bit, from
-    the two-thread bisection queue of ``_levels_from_queue`` where it can
-    repeat that call's steps and from the call itself elsewhere."""
+    the two-thread bisection of ``_levels_from_split`` where it can repeat
+    that call's steps and from the call itself elsewhere."""
     d, e = _float_array(d), _float_array(e)
-    levels = _levels_from_queue(d, e, k)
+    levels = _levels_from_split(d, e, k)
     return dstebz(b"E", d, e, k)[0] if levels is None else levels
 
 
@@ -163,7 +162,7 @@ def _splits(d: np.ndarray, e2: np.ndarray) -> bool:
     return not np.all(np.abs(d[1:] * d[:-1]) * _ULP**2 + _TINY <= e2)
 
 
-def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
+def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
     """Levels 1..k of (d, e) as one ``dstebz`` call in index mode with
     tolerance 0 gives them, on two threads; None where that call cannot be
     repeated this way.
@@ -176,13 +175,15 @@ def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     count there is 0; elsewhere the count at the clipped end low >= gl is
     not 0 either, so the job-1 count at low stands in for that search.  The
     search for WU runs here (``_upper_end``).  Each interval of the
-    bisection evolves on its own, with the iterations the call has left for
-    it, so two threads walk the call's tree from one queue
-    (``_BisectionQueue``) and every Sturm count is one the call makes.  A
-    matrix that splits, k = n (where ``dstebz`` takes all levels at once),
-    counts at the ends of (low, WU] other than 0 and k (where it discards
-    levels), an interval the call leaves unconverged and a nonzero
-    ``dlaebz`` info return None.
+    bisection evolves on its own, so the tree splits in two: the calling
+    thread steps the interval that holds levels j = k // 2 and j + 1, one
+    job-2 step at a time, until those two lie in different intervals; then
+    it and one helper thread each bisect one half, levels 1..j and j+1..k,
+    with one job-2 call and the iterations the call has left.  So every
+    Sturm count is one the call makes.  A matrix that splits, k = n (where
+    ``dstebz`` takes all levels at once), counts at the ends of (low, WU]
+    other than 0 and k (where it discards levels), an interval left
+    unconverged and a nonzero ``dlaebz`` info return None.
     """
     n = len(d)
     e2 = e * e
@@ -202,16 +203,38 @@ def _levels_from_queue(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     gl, gu = gl - widen - _FUDGE * 2.0 * pivmin, gu + widen + _FUDGE * pivmin
     if not (math.isfinite(gl) and math.isfinite(gu)):
         return None
-    dlaebz = partial(_Dlaebz, handle().dlaebz, d, e, e2, pivmin)
-    wu = _upper_end(dlaebz(), k, gl, gu, tnorm)
+    dlaebz = _Dlaebz(handle().dlaebz, d, e, e2, pivmin)
+    wu = _upper_end(dlaebz, k, gl, gu, tnorm)
     if wu is None or not low < min(gu, wu):
         return None
     hi = min(gu, wu)
-    queue = _BisectionQueue(dlaebz, _ULP * max(abs(low), abs(gu)), k, _iterations(hi - low, pivmin))
-    if not queue.open(low, hi):
+    atoli, itmax = _ULP * max(abs(low), abs(gu)), _iterations(hi - low, pivmin)
+    [(_, _, nl, nu)], _ = dlaebz.run(1, 0, atoli, low, hi, 0, 0)
+    if (nl, nu) != (0, k):
         return None
-    _on_two_threads(queue.drain)
-    return None if queue.stopped else queue.levels
+    # step the interval that holds levels j and j + 1 until they part; every
+    # other interval joins the half that holds its levels
+    levels, j, steps = np.empty(k), k // 2, 0
+    halves, unconverged = ([], []), [(low, hi, 0, k)]
+    while unconverged:
+        interval = unconverged.pop()
+        na, nb = interval[2:]
+        if not na < j < nb:
+            halves[na >= j].append(interval)
+            continue
+        out = _write_converged(*dlaebz.run(2, 1, atoli, *interval), levels) if steps < itmax else None
+        if out is None:
+            return None
+        unconverged += out
+        steps += 1
+
+    # an interval that parted earlier has fewer iterations here than in the
+    # one call; one left unconverged sends the solve to that call
+    def bisect(half):
+        return _write_converged(*dlaebz.bisect(itmax - steps, atoli, half), levels)
+
+    outs = _map_on_two_threads(bisect, [half for half in halves if half])
+    return levels if all(out == [] for out in outs) else None
 
 
 def _iterations(width: float, pivmin: float) -> int:
@@ -265,11 +288,14 @@ def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
 
 
 class _Dlaebz:
-    """``dlaebz`` on one matrix (d, e, e2) for one thread, one interval in.
+    """``dlaebz`` on one matrix (d, e, e2).
 
-    The scalar and interval arguments live in two small arrays whose
-    addresses are taken once, so that a call costs a few microseconds of
-    Python, not the tens that ``_fortran`` spends converting arguments.
+    ``run``, for one interval in and only on the thread that made the
+    object, keeps its scalar and interval arguments in two small arrays
+    whose addresses are taken once, so that a call costs a few
+    microseconds of Python, not the tens that ``_fortran`` spends
+    converting arguments.  ``bisect``, for any number of intervals, calls
+    through ``_fortran`` from arrays of its own, so any thread can call it.
     """
 
     def __init__(self, routine, d, e, e2, pivmin: float):
@@ -301,98 +327,55 @@ class _Dlaebz:
         ab, nab = reals[3:3 + 2 * mmax].tolist(), ints[9:9 + 2 * mmax].tolist()
         return [(ab[j], ab[mmax + j], nab[j], nab[mmax + j]) for j in range(mout)], int(ints[8])
 
-
-class _BisectionQueue:
-    """The job-2 bisection of one ``dstebz`` call over (lo, hi], walked by
-    any number of threads that call ``drain``, each with its own
-    ``_Dlaebz`` from the factory dlaebz.
-
-    Each thread takes the interval that holds the most levels.  One with
-    two or more levels takes one ``dlaebz`` job-2 step, which evaluates the
-    midpoint the one call evaluates and applies its clamp, update, split
-    and convergence test; one with a single level is bisected to
-    convergence by one job-2 call with the iterations the one call has left
-    for it; a converged interval writes its midpoint to levels[na:nb], as
-    ``dstebz`` does.  ``stopped`` is set when the one call would leave an
-    interval unconverged, when ``dlaebz`` reports an info the one call
-    would not see, or when a thread raised.
-    """
-
-    def __init__(self, dlaebz: Callable[[], _Dlaebz], atoli: float, k: int, itmax: int):
-        self.dlaebz, self.atoli, self.k, self.itmax = dlaebz, atoli, k, itmax
-        self.levels = np.empty(k)
-        self.pending = []  # (levels held, -na, (a, b, na, nb, depth)), ascending
-        self.busy = 0
-        self.stopped = False
-        self.lock = threading.Condition()
-
-    def open(self, lo: float, hi: float) -> bool:
-        """Queue (lo, hi] with the job-1 counts ``dstebz`` takes there;
-        False where those are not 0 and k."""
-        [(_, _, nl, nu)], _ = self.dlaebz().run(1, 0, self.atoli, lo, hi, 0, 0)
-        if (nl, nu) != (0, self.k):
-            return False
-        self._push([(lo, hi, 0, self.k, 0)])
-        return True
-
-    def _push(self, intervals) -> None:
-        for interval in intervals:
-            bisect.insort(self.pending, (interval[3] - interval[2], -interval[2], interval))
-
-    def drain(self) -> None:
-        dlaebz = self.dlaebz()
-        while True:
-            with self.lock:
-                while not self.pending and self.busy and not self.stopped:
-                    self.lock.wait()
-                if self.stopped or not self.pending:
-                    return
-                interval = self.pending.pop()[2]
-                self.busy += 1
-            unconverged = None
-            try:
-                unconverged = self._bisect(dlaebz, *interval)
-            finally:
-                with self.lock:
-                    self.busy -= 1
-                    if unconverged is None:
-                        self.stopped = True
-                    else:
-                        self._push(unconverged)
-                    self.lock.notify_all()
-
-    def _bisect(self, dlaebz: _Dlaebz, a: float, b: float, na: int, nb: int, depth: int):
-        """Bisect one interval as the one call does: the intervals that are
-        left unconverged, or None where the one call would stop unconverged
-        or dlaebz reports an info it would not."""
-        if depth >= self.itmax:
-            return None
-        single = nb - na == 1
-        out, info = dlaebz.run(2, self.itmax - depth if single else 1, self.atoli, a, b, na, nb)
-        if not 0 <= info <= len(out) or single and info:
-            return None
-        converged = len(out) - info
-        for a, b, na, nb in out[:converged]:
-            self.levels[na:nb] = 0.5 * (a + b)
-        return [(*interval, depth + 1) for interval in out[converged:]]
+    def bisect(self, nitmax: int, abstol: float, intervals):
+        """One job-2 call on the intervals (a, b, na, nb), with MMAX the
+        number of levels they hold, room for every interval the call can
+        make: the intervals out, the converged first, and the info."""
+        minp, mmax = len(intervals), sum(nb - na for _, _, na, nb in intervals)
+        # AB(MMAX, 2) and NAB(MMAX, 2) are column-major, so row c of a
+        # (2, MMAX) array is column c + 1
+        ab, nab = np.empty((2, mmax)), np.empty((2, mmax), np.int32)
+        a, b, na, nb = zip(*intervals)
+        ab[:, :minp], nab[:, :minp] = (a, b), (na, nb)
+        mout, info = ctypes.c_int(), ctypes.c_int()
+        _fortran(self.routine, 2, nitmax, self.n, mmax, minp, 0, abstol, _RTOLI, self.pivmin, *self.keep,
+                 np.empty(minp, np.int32), ab, np.empty(mmax), mout, nab, np.empty(mmax),
+                 np.empty(mmax, np.int32), info)
+        return list(zip(*ab[:, :mout.value].tolist(), *nab[:, :mout.value].tolist())), info.value
 
 
-def _on_two_threads(work: Callable[[], None]) -> None:
-    """work() on a new thread and on this one at once; the new thread is
-    joined before this returns or raises, and what it raised is raised here."""
-    errors = []
+def _write_converged(out, info: int, levels: np.ndarray):
+    """The intervals out of a job-2 call, converged first, that have not
+    converged, after each converged one has written its midpoint to
+    levels[na:nb], as ``dstebz`` does; None where info is not their count."""
+    if not 0 <= info <= len(out):
+        return None
+    for a, b, na, nb in out[: len(out) - info]:
+        levels[na:nb] = 0.5 * (a + b)
+    return out[len(out) - info:]
+
+
+def _map_on_two_threads(work: Callable, items: list) -> list:
+    """[work(item) for item in items], for at most two items, the first on
+    this thread and the second on a new one at once; the new thread is
+    joined before this returns or raises, and what it raised is raised
+    here."""
+    if len(items) < 2:
+        return [work(item) for item in items]
+    results = []
 
     def run():
         try:
-            work()
+            results.append(work(items[1]))
         except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
+            results.append(exc)
 
     thread = threading.Thread(target=run)
     thread.start()
     try:
-        work()
+        first = work(items[0])
     finally:
         thread.join()
-    if errors:
-        raise errors[0]
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return [first, results[0]]

@@ -11,8 +11,8 @@ The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
 the LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links
 (module ``_lapack``, imported on the first eigensolve); no scipy module is
 imported.  ``eigen_tridiagonal`` returns the levels of one ``dstebz`` call
-bit for bit, from two threads that walk that call's bisection tree from one
-work queue; the second thread pays only when a second core is free.
+bit for bit, from two threads that each bisect one half of that call's
+bisection tree; the second thread pays only when a second core is free.
 """
 
 from __future__ import annotations
@@ -144,8 +144,9 @@ def eigen_tridiagonal(
 
     The levels are bit for bit those of one ``dstebz`` call for levels 1..k
     with tolerance 0, the call ``scipy.linalg.eigh_tridiagonal(d, e,
-    eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  Two
-    threads walk that call's bisection tree from one work queue
+    eigvals_only=True, select="i", select_range=(0, k - 1))`` makes.  The
+    calling thread splits that call's bisection tree where levels k // 2
+    and k // 2 + 1 part, and it and one helper thread bisect one half each
     (``_lapack.lowest_levels``), with the call's own Sturm counts, fewer in
     its search for the upper end of the levels' interval and none in that
     for the lower end; the second thread saves time when a second core is
@@ -195,9 +196,10 @@ def first_derivative(f: np.ndarray, h: float) -> np.ndarray:
 def trapezoid_norm(values, u, weight=1.0) -> float:
     """sqrt of the trapezoid integral of weight*values^2 over the samples u.
 
-    A zero norm, which no division can normalize, raises ValueError.
+    A norm that is zero, infinite or NaN, which no division can normalize,
+    raises ValueError.
     """
     norm = math.sqrt(np.trapezoid(weight * values**2, u))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a function whose weighted norm on the grid is zero")
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"cannot normalize a function whose weighted norm on the grid is {norm or 'zero'}")
     return norm

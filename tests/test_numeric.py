@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -278,7 +277,7 @@ class TestFlapack:
 
     def test_lapack_error_raises(self, monkeypatch):
         # a dlaebz info the one dstebz call would not see sends the
-        # bisection queue back to that call, whose info raises
+        # two-thread bisection back to that call, whose info raises
         failing = SimpleNamespace(**{**vars(_lapack.handle()), "dstebz": _failing("dstebz", lambda args: True),
                                      "dlaebz": _failing("dlaebz", lambda args: True)})
         monkeypatch.setattr(_lapack, "handle", lambda: failing)
@@ -289,17 +288,16 @@ class TestFlapack:
     @pytest.mark.parametrize("thread, jobs", [("calling", (3, 2)), ("helper", (2,))], ids=["calling", "helper"])
     def test_failure_on_either_thread_raises_and_joins(self, monkeypatch, thread, jobs):
         # the search for WU runs on the calling thread (dlaebz job 3), then
-        # both threads bisect from one queue (job 2); a call that raises on
-        # either thread in either phase reaches the caller
+        # the calling thread splits the bisection tree and each thread
+        # bisects one half (job 2); a call that raises on either thread in
+        # either phase reaches the caller
         real = _lapack.handle().dlaebz
         op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
         for job in jobs:
             def dlaebz(*args, job=job):
                 on_calling = threading.current_thread() is threading.main_thread()
-                if _int_argument(args[0]).value == job:
-                    if on_calling == (thread == "calling"):
-                        raise RuntimeError(f"dlaebz job {job} failed")
-                    time.sleep(0.01)  # so that the failing thread takes work
+                if _int_argument(args[0]).value == job and on_calling == (thread == "calling"):
+                    raise RuntimeError(f"dlaebz job {job} failed")
                 real(*args)
 
             failing = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
@@ -350,6 +348,15 @@ class TestNormalize:
             trapezoid_norm(np.zeros(g.count), g.points)
         with pytest.raises(ValueError, match="norm on the grid is zero"):
             trapezoid_norm(np.ones(g.count), g.points, np.zeros(g.count))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_rejected(self, bad):
+        # dividing by an infinite norm would turn every finite sample into 0
+        g = Grid(0.0, 1.0, 101)
+        values = np.ones(g.count)
+        values[50] = bad
+        with pytest.raises(ValueError, match=f"norm on the grid is {bad}"):
+            trapezoid_norm(values, g.points)
 
 
 class TestCountFeatures:
@@ -455,10 +462,14 @@ def _one_dstebz_call(d, e, k):
     return w[:m]
 
 
+# two copies of Wilkinson's W_11^+ glued by 1e-10: their lowest levels lie
+# 1e-10 apart, and so do levels 3 and 4
+GLUED_W11 = (np.tile(np.abs(np.arange(-5.0, 6.0)), 2), np.r_[np.ones(10), 1e-10, np.ones(10)])
+
+
 def _levels_and_route(d, e, k):
-    """eigen_tridiagonal's levels and how they were found: "queue" (the
-    bisection queue on two threads, no dstebz call) or "one call" (index
-    mode)."""
+    """eigen_tridiagonal's levels and how they were found: "two threads"
+    (the split bisection, no dstebz call) or "one call" (index mode)."""
     orders = []
     real = _lapack.dstebz
 
@@ -468,7 +479,7 @@ def _levels_and_route(d, e, k):
 
     with mock.patch.object(_lapack, "dstebz", spy):
         levels = eigen_tridiagonal(TridiagonalOperator(d, e), k).eigenvalues
-    route = {(): "queue", (b"E",): "one call"}[tuple(orders)]
+    route = {(): "two threads", (b"E",): "one call"}[tuple(orders)]
     return levels, route
 
 
@@ -476,6 +487,31 @@ def _assert_same_levels(d, e, k):
     levels, route = _levels_and_route(d, e, k)
     assert levels.tobytes() == _one_dstebz_call(d, e, k).tobytes()
     return route
+
+
+def _threads_and_helper_jobs(monkeypatch, k):
+    """The number of threads that eigen_tridiagonal starts for levels 1..k
+    of a harmonic operator, which it must solve on two threads, and the
+    dlaebz jobs called off the calling thread."""
+    real = _lapack.handle().dlaebz
+    off_calling, started = [], []
+
+    def dlaebz(*args):
+        if threading.current_thread() is not threading.main_thread():
+            off_calling.append(_int_argument(args[0]).value)
+        real(*args)
+
+    class Thread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    spying = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
+    monkeypatch.setattr(_lapack, "handle", lambda: spying)
+    monkeypatch.setattr(threading, "Thread", Thread)
+    op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+    assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "two threads"
+    return len(started), off_calling
 
 
 @st.composite
@@ -525,87 +561,46 @@ class TestSameLevelsAsOneDstebzCall:
         _assert_same_levels(*case)
 
     @pytest.mark.parametrize("d, e, k, route", [
-        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 2, "queue"),
-        # W_5^+: an interval narrows to ulp*tnorm exactly, so the queue
+        ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 2, "two threads"),
+        # W_5^+: an interval narrows to ulp*tnorm exactly, so the bisection
         # needs the tolerance dstebz recomputes from the widened bounds
-        ([2.0, 1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], 4, "queue"),
+        ([2.0, 1.0, 0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0], 4, "two threads"),
         ([2.0, 1.0, 3.0, 0.5], [0.3, 0.0, 0.2], 2, "one call"),  # a zero off-diagonal splits the matrix
         ([2.0, 1.0, 3.0, 0.5], [0.3, -0.7, 0.2], 4, "one call"),  # k = n: dstebz takes every level
-        # the lowest levels of two glued copies of W_11^+ lie 1e-10 apart, so
-        # the search for count 1 ends at count 2 and dstebz discards a level
-        (np.tile(np.abs(np.arange(-5.0, 6.0)), 2), np.r_[np.ones(10), 1e-10, np.ones(10)], 1, "one call"),
-        # (WL, WU] spans a few ulps; the queue bisects it as the one call does
-        ([-1.0, -1.0], [2.0**-51], 1, "queue"),
-    ], ids=["quarters", "tolerance", "split", "all_levels", "discarded_level", "narrow_quarters"])
+        # the lowest levels of GLUED_W11 lie 1e-10 apart, so the search for
+        # count 1 ends at count 2 and dstebz discards a level
+        (*GLUED_W11, 1, "one call"),
+        # (WL, WU] spans a few ulps; it is bisected as the one call does
+        ([-1.0, -1.0], [2.0**-51], 1, "two threads"),
+        # at k = 2 those two are levels j and j + 1, which the calling thread
+        # steps until they part
+        (*GLUED_W11, 2, "two threads"),
+        (*GLUED_W11, 4, "two threads"),
+    ], ids=["quarters", "tolerance", "split", "all_levels", "discarded_level", "narrow_quarters",
+            "close_pair_k2", "close_pair_k4"])
     def test_routes(self, d, e, k, route):
         assert _assert_same_levels(np.asarray(d, dtype=float), np.asarray(e, dtype=float), k) == route
 
     @settings(max_examples=200, deadline=None)
     @given(_tridiagonals(max_n=80), st.integers(-2, 2))
     def test_about_half_the_levels(self, case, offset):
-        # many levels: the queue splits often and both threads take work
+        # many levels: both halves hold many intervals
         d, e, _ = case
         _assert_same_levels(d, e, min(max(len(d) // 2 + offset, 1), len(d)))
 
-    def test_queue_drained_by_more_threads_than_cores(self, monkeypatch):
-        # four threads on the queue, switching as often as the interpreter
-        # allows: a lost or doubled interval would change or leave out levels
-        def on_four_threads(work):
-            helpers = [threading.Thread(target=work, daemon=True) for _ in range(3)]
-            for thread in helpers:
-                thread.start()
-            work()
-            for thread in helpers:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
+    def test_split_solve_starts_one_thread_and_searches_on_the_calling_one(self, monkeypatch):
+        # the only thread a two-thread solve starts is the helper, which
+        # bisects the upper half with one job-2 call; no search (dlaebz job
+        # 3) runs on it
+        assert _threads_and_helper_jobs(monkeypatch, 7) == (1, [2])
 
-        monkeypatch.setattr(_lapack, "_on_two_threads", on_four_threads)
-        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
-        routes = []
-
-        def solve():  # on a thread of its own, so that a hang fails the test
-            for k in (7, 60, 400):
-                routes.append(_assert_same_levels(op.diagonal, op.offdiagonal, k))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            solver = threading.Thread(target=solve, daemon=True)
-            solver.start()
-            solver.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not solver.is_alive()
-        assert routes == ["queue"] * 3
-
-    def test_queue_solve_starts_one_thread_and_searches_on_the_calling_one(self, monkeypatch):
-        # the only thread a queue solve starts is the bisection's helper,
-        # and no search (dlaebz job 3) runs on it
-        real = _lapack.handle().dlaebz
-        off_calling = []
-
-        def dlaebz(*args):
-            if threading.current_thread() is not threading.main_thread():
-                off_calling.append(_int_argument(args[0]).value)
-            real(*args)
-
-        started = []
-
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        spying = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
-        monkeypatch.setattr(_lapack, "handle", lambda: spying)
-        monkeypatch.setattr(threading, "Thread", Thread)
-        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
-        assert _assert_same_levels(op.diagonal, op.offdiagonal, 7) == "queue"
-        assert len(started) == 1
-        assert 3 not in off_calling
+    def test_one_level_starts_no_thread(self, monkeypatch):
+        # at k = 1 the lower half holds no level and the calling thread
+        # bisects the upper one alone
+        assert _threads_and_helper_jobs(monkeypatch, 1) == (0, [])
 
     def test_overflowing_gershgorin_bounds_make_the_one_call(self):
-        # the squares of these entries overflow, so the queue's Gershgorin
+        # the squares of these entries overflow, so the bisection's Gershgorin
         # bounds are not finite; the one call fails as scipy's does
         from scipy.linalg import eigh_tridiagonal
 
@@ -627,16 +622,23 @@ class TestSameLevelsAsOneDstebzCall:
     @pytest.mark.parametrize("budget", [0, 2, 5])
     def test_exhausted_budget_makes_the_one_call(self, monkeypatch, budget):
         # with fewer bisection iterations than the one call has, an interval
-        # is left unconverged and that call runs instead
-        real = _lapack._BisectionQueue
-        monkeypatch.setattr(_lapack, "_BisectionQueue", lambda *args: real(*args[:-1], budget))
+        # is left unconverged and that call runs instead; the search for WU,
+        # whose budget is asked for first, keeps its own
+        real, budgets = _lapack._iterations, []
+
+        def iterations(width, pivmin):
+            budgets.append(real(width, pivmin) if not budgets else budget)
+            return budgets[-1]
+
+        monkeypatch.setattr(_lapack, "_iterations", iterations)
         op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
         assert _assert_same_levels(op.diagonal, op.offdiagonal, 4) == "one call"
+        assert len(budgets) == 2
 
     @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001", *_bunched_operators()])
     def test_clipped_64001_point_operators(self, name):
         op, k = {**_cli_operators(), **_bunched_operators()}[name]
-        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "two threads"
 
     @pytest.mark.parametrize("name", ["constant_m3_64001", "scarf_m2_64001"])
     def test_upper_end_search_takes_few_counts(self, monkeypatch, name):
@@ -661,7 +663,7 @@ class TestSameLevelsAsOneDstebzCall:
 
         counting = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
         monkeypatch.setattr(_lapack, "handle", lambda: counting)
-        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "two threads"
         assert 1 <= len(counts) <= 10
 
     @pytest.mark.parametrize("argv", [
@@ -681,7 +683,7 @@ class TestSameLevelsAsOneDstebzCall:
             assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert solved
         for op, k in solved:
-            assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "queue"
+            assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "two threads"
 
     @settings(max_examples=100, deadline=None)
     @given(_tridiagonals(max_n=30), st.sampled_from([None, Grid(0.0, 1.0, 16)]))
