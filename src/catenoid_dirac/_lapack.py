@@ -1,13 +1,12 @@
-"""LAPACK's symmetric tridiagonal eigensolver through ctypes.
+"""LAPACK's symmetric tridiagonal bisection through ctypes.
 
-The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) and
-``dstein`` (inverse iteration) of the LAPACK that scipy's compiled extension
-``scipy/linalg/_flapack`` links, opened without importing any scipy module;
-``lowest_levels``, which splits the bisection tree of one ``dstebz`` call
-in two, bisects one half on each of two threads and returns that call's
-levels bit for bit; and ``eigenvectors``, which runs ``dstein`` on levels
-already found.  ``numeric`` imports this module on its first eigensolve, so
-importing the package compiles and opens none of it.
+The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) of the
+LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links,
+opened without importing any scipy module, and ``lowest_levels``, which
+splits the bisection tree of one ``dstebz`` call in two, bisects one half
+on each of two threads and returns that call's levels bit for bit.
+``numeric`` imports this module on its first eigensolve, so importing the
+package compiles and opens none of it.
 """
 
 from __future__ import annotations
@@ -30,41 +29,19 @@ def lowest_levels(d, e, k: int) -> np.ndarray:
     one ``dstebz`` call in index mode with tolerance 0, bit for bit, from
     the two-thread bisection of ``_levels_from_split`` where it can repeat
     that call's steps and from the call itself elsewhere."""
-    d, e = _float_array(d), _float_array(e)
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
     levels = _levels_from_split(d, e, k)
-    return dstebz(b"E", d, e, k)[0] if levels is None else levels
-
-
-def eigenvectors(d, e, levels) -> np.ndarray:
-    """Unnormalized eigenvectors of (d, e) as columns in ascending order of
-    level, by ``dstein`` on the calling thread, for ``levels``: levels 1..k
-    of (d, e) as ``lowest_levels`` returns them.  A matrix that does not
-    split is one block, in which ``dstebz`` gives these levels in this
-    order, so ``dstein`` takes them as they are; for a matrix that splits,
-    ``dstebz`` in block order finds them again with their block numbers."""
-    d, e = _float_array(d), _float_array(e)
-    n = len(d)
-    if _splits(d, e * e):
-        w, iblock, isplit = dstebz(b"B", d, e, len(levels))
-    else:
-        w, iblock, isplit = _float_array(levels), np.ones(len(levels), np.int32), np.array([n], np.int32)
-    m = len(w)
-    vecs = np.empty((n, m), order="F")
-    info = ctypes.c_int()
-    _fortran(handle().dstein, n, d, e, m, w, iblock, isplit, vecs, n,
-             np.empty(5 * n), np.empty(n, np.int32), np.empty(m, np.int32), info)
-    _check_info(info.value, "dstein")
-    return vecs[:, np.argsort(w)]
+    return dstebz(d, e, k) if levels is None else levels
 
 
 # the routines used, with their argument counts; each CHARACTER argument adds
 # a hidden length argument at the end of the gfortran calling convention
-_ROUTINES = {"dstebz": (18, 2), "dlaebz": (20, 0), "dstein": (13, 0)}
+_ROUTINES = {"dstebz": (18, 2), "dlaebz": (20, 0)}
 
 
 @cache
 def handle() -> SimpleNamespace:
-    """``dstebz``, ``dlaebz`` and ``dstein`` of the LAPACK that scipy's
+    """``dstebz`` and ``dlaebz`` of the LAPACK that scipy's
     compiled extension ``scipy/linalg/_flapack`` links, as ctypes functions.
 
     The extension's file is opened with ``ctypes.CDLL``, which runs none of
@@ -98,7 +75,7 @@ def handle() -> SimpleNamespace:
         return SimpleNamespace(**found)
     raise ImportError(
         f"scipy {_scipy_version()}: the LAPACK that {path} links exports neither "
-        "scipy_dstebz_ nor dstebz_ (with dlaebz and dstein)"
+        "scipy_dstebz_ nor dstebz_ (with dlaebz)"
     )
 
 
@@ -129,37 +106,23 @@ def _fortran(routine, *args) -> None:
     routine(*refs, *lengths)
 
 
-def _check_info(info: int, routine: str) -> None:
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
-
-
-def _float_array(values) -> np.ndarray:
-    return np.ascontiguousarray(values, dtype=float)
-
-
-def dstebz(order: bytes, d, e, k: int):
-    """LAPACK dstebz for levels 1..k of contiguous float arrays (d, e), in
-    index mode with tolerance 0 and in order b"E" (ascending) or b"B" (by
-    block): the levels and their block numbers, and the block ends.  A
-    nonzero info raises LinAlgError."""
+def dstebz(d, e, k: int) -> np.ndarray:
+    """Levels 1..k, ascending, of contiguous float arrays (d, e) from LAPACK
+    dstebz in index mode with tolerance 0.  A nonzero info raises
+    LinAlgError."""
     n = len(d)
     m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
-    w, iblock, isplit = np.empty(n), np.empty(n, np.int32), np.empty(n, np.int32)
-    _fortran(handle().dstebz, b"I", order, n, 0.0, 1.0, 1, int(k), 0.0,
-             d, e, m, nsplit, w, iblock, isplit, np.empty(4 * n), np.empty(3 * n, np.int32), info)
-    _check_info(info.value, "dstebz")
-    return w[: m.value].copy(), iblock[: m.value], isplit
+    w = np.empty(n)
+    _fortran(handle().dstebz, b"I", b"E", n, 0.0, 1.0, 1, int(k), 0.0, d, e, m, nsplit, w,
+             np.empty(n, np.int32), np.empty(n, np.int32), np.empty(4 * n), np.empty(3 * n, np.int32), info)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed with info = {info.value}")
+    return w[: m.value].copy()
 
 
 # LAPACK's dlamch("P") and dlamch("S"), and the constants of dstebz
 _ULP, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _FUDGE, _RTOLI = 2.1, 2.0 * _ULP
-
-
-def _splits(d: np.ndarray, e2: np.ndarray) -> bool:
-    """Whether ``dstebz`` splits (d, e) into blocks, e2 = e*e."""
-    return not np.all(np.abs(d[1:] * d[:-1]) * _ULP**2 + _TINY <= e2)
 
 
 def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -186,17 +149,22 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     unconverged and a nonzero ``dlaebz`` info return None.
     """
     n = len(d)
-    e2 = e * e
-    if k == n or _splits(d, e2):
-        return None
+    # entries near the float range overflow here as in dstebz's own split
+    # test and bounds, and to the same verdict: a split, or bounds that are
+    # not finite, both of which leave the solve to that call
+    with np.errstate(over="ignore"):
+        e2 = e * e
+        if k == n or not np.all(np.abs(d[1:] * d[:-1]) * _ULP**2 + _TINY <= e2):  # dstebz splits (d, e)
+            return None
+        # Gershgorin bounds, widened: gl and gu for the search, low and gu
+        # for the bisection (dstebz forms the latter from |e|, which equals
+        # sqrt(e*e) exactly in binary floating point).  The search's
+        # tolerance is ulp*tnorm; the bisection's, atoli, dstebz recomputes
+        # from its bounds
+        root = np.sqrt(e2)
+        gl = float(np.min(d - np.r_[0.0, root] - np.r_[root, 0.0]))
+        gu = float(np.max(d + np.r_[0.0, root] + np.r_[root, 0.0]))
     pivmin = max(1.0, float(e2.max())) * _TINY
-    # Gershgorin bounds, widened: gl and gu for the search, low and gu for
-    # the bisection (dstebz forms the latter from |e|, which equals
-    # sqrt(e*e) exactly in binary floating point).  The search's tolerance
-    # is ulp*tnorm; the bisection's, atoli, dstebz recomputes from its bounds
-    root = np.sqrt(e2)
-    gl = float(np.min(d - np.r_[0.0, root] - np.r_[root, 0.0]))
-    gu = float(np.max(d + np.r_[0.0, root] + np.r_[root, 0.0]))
     tnorm = max(abs(gl), abs(gu))
     widen = _FUDGE * tnorm * _ULP * n
     low = gl - widen - _FUDGE * pivmin

@@ -33,10 +33,12 @@ from .analytic import (
 )
 from .geometry import CatenoidParams
 from .numeric import (
+    SPECTRUM_POINTS,
+    X_DELTA,
     Grid,
-    discretize,
-    discretize_sturm_liouville,
-    eigen_tridiagonal,
+    box_levels,
+    compact_levels,
+    scarf_levels,
     trapezoid_norm,
 )
 from .potentials import (
@@ -58,9 +60,6 @@ from .susy import (
     check_intertwining,
 )
 
-X_DELTA = 1e-4  # clip distance from the +-pi/2 singularities
-R_DELTA = 1e-6  # clip distance from the r = +-1 ends of the compact coordinate
-SPECTRUM_POINTS = 4001  # grid of the numeric spectrum levels
 ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one record per level
 
 
@@ -132,35 +131,23 @@ def cmd_potentials(args) -> int:
     return 0
 
 
-def _numeric_levels(params: CatenoidParams, m: int, count: int, pdfv: bool) -> np.ndarray:
-    """Lowest count levels eps^2: of the Scarf operator of the sec^2-velocity
-    problem, or of the compact-coordinate form of the constant-velocity
-    problem, where the discrete part of the spectrum is genuine."""
-    if pdfv:
-        grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, SPECTRUM_POINTS)
-        op = discretize(lambda x: scarf_form_pdfv(params, m, x), grid)
-    else:
-        grid = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, SPECTRUM_POINTS)
-        op = discretize_sturm_liouville(
-            lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(m, r), grid
-        )
-    # two spare levels: asking for exactly count changes the last bits of the
-    # levels, because the bisection starts from another interval
-    return eigen_tridiagonal(op, count + 2, grid=grid).eigenvalues[:count]
-
-
 def cmd_spectrum(args) -> int:
     params = CatenoidParams(args.R)
     pdfv = args.lam is not None
     validity_flags: list[str] = []
+    # the numeric levels eps^2 are those of the Scarf operator of the
+    # sec^2-velocity problem, or of the compact-coordinate form of the
+    # constant-velocity problem, where the discrete part of the spectrum is genuine
     if pdfv:
         scarf = scarf_params_physical(params, args.m, args.lam)
-        scale = args.lam / params.R
+        scale, levels, V = args.lam / params.R, scarf_levels, partial(scarf_form_pdfv, params, args.m)
     else:
-        scale = args.vf / params.R
+        scale, levels, V = args.vf / params.R, compact_levels, partial(constant_case_rspace_potential, args.m)
     numeric = None
     if args.mode in ("numeric", "both"):
-        eps_sq = _numeric_levels(params, args.m, args.n + 1, pdfv)
+        # two spare levels: asking for exactly n + 1 changes the last bits of
+        # the levels, because the bisection starts from another interval
+        eps_sq = levels(V, args.n + 3).eigenvalues[:args.n + 1]
         numeric = np.array([scale * math.sqrt(e) if e >= 0 else math.nan for e in eps_sq])
         validity_flags += [f"n={n}: numeric eps^2 = {e:g} is negative" if e < 0
                            else f"n={n}: E_numeric = {x:g} is not finite"
@@ -243,15 +230,15 @@ def cmd_wavefunction(args) -> int:
     return 0
 
 
-def _partner_shift(W, dW, grid: Grid, count: int):
-    """Isospectral shift table of the partner pair W^2 -+ W' on grid.
+def _partner_shift(W, dW, levels, count: int):
+    """Isospectral shift table of the partner pair W^2 -+ W', solved by the
+    numeric level function levels(V, k).
 
     Compares the partner levels E2_n with the first-system levels E1_(n+1)
     for n < count; returns (E1_0, rows, worst relative discrepancy).
     """
-    v1, v2 = partner_potentials_from_W(W, grid.points, dW=dW)
-    e1 = eigen_tridiagonal(discretize(lambda _: v1, grid), count + 2, grid=grid).eigenvalues
-    e2 = eigen_tridiagonal(discretize(lambda _: v2, grid), count + 1, grid=grid).eigenvalues
+    e1 = levels(lambda x: partner_potentials_from_W(W, x, dW)[0], count + 2).eigenvalues
+    e2 = levels(lambda x: partner_potentials_from_W(W, x, dW)[1], count + 1).eigenvalues
     rows = []
     worst = 0.0
     for n in range(count):
@@ -272,9 +259,7 @@ def cmd_susy_check(args) -> int:
 
     if args.mode == "harmonic":
         # oracle pair W = u: partners u^2 -+ 1 with known exact levels
-        ground, shift, worst = _partner_shift(
-            lambda x: x, lambda x: np.ones_like(x), Grid(-10.0, 10.0, 4001), 5
-        )
+        ground, shift, worst = _partner_shift(lambda x: x, lambda x: np.ones_like(x), box_levels, 5)
         checks += [_check("ground_state_at_zero", abs(ground), 1e-3),
                    _check("partner_shift", worst, 1e-3)]
     else:
@@ -302,7 +287,7 @@ def cmd_susy_check(args) -> int:
             _, shift, worst = _partner_shift(
                 lambda x: A * np.tan(x) - B / np.cos(x),
                 lambda x: A / np.cos(x) ** 2 - B * np.tan(x) / np.cos(x),
-                Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, 4001),
+                scarf_levels,
                 4,
             )
             checks.append(_check("partner_shift", worst, 1e-3))

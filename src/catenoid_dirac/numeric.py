@@ -6,20 +6,24 @@ the closed-form results they are used to check.
 ``WavefunctionSamples`` pairs sampled values with their grid, as
 ``analytic.energy_dependent_branch`` returns them.
 
+Every level solve of the CLI goes through one function per grid family,
+each on SPECTRUM_POINTS points: ``compact_levels`` (the compact coordinate
+r, clipped by R_DELTA at its ends), ``scarf_levels`` (the Scarf coordinate
+x, clipped by X_DELTA at +-pi/2) and ``box_levels`` (u in [-10, 10]).
+
 The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
-``dlaebz``) and inverse iteration (``dstein``), called through ctypes from
-the LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links
-(module ``_lapack``, imported on the first eigensolve); no scipy module is
-imported.  ``eigen_tridiagonal`` returns the levels of one ``dstebz`` call
-bit for bit, from two threads that each bisect one half of that call's
-bisection tree; the second thread pays only when a second core is free.
+``dlaebz``), called through ctypes from the LAPACK that scipy's compiled
+extension ``scipy/linalg/_flapack`` links (module ``_lapack``, imported on
+the first eigensolve); no scipy module is imported.  ``eigen_tridiagonal``
+returns the levels of one ``dstebz`` call bit for bit, from two threads
+that each bisect one half of that call's bisection tree; the second thread
+pays only when a second core is free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,10 +36,17 @@ __all__ = [
     "discretize",
     "discretize_sturm_liouville",
     "eigen_tridiagonal",
+    "compact_levels",
+    "scarf_levels",
+    "box_levels",
     "second_derivative",
     "first_derivative",
     "trapezoid_norm",
 ]
+
+X_DELTA = 1e-4  # clip distance of the Scarf x-grid from the +-pi/2 singularities
+R_DELTA = 1e-6  # clip distance of the compact coordinate from its r = +-1 ends
+SPECTRUM_POINTS = 4001  # points of every grid the CLI solves levels on
 
 
 @dataclass(frozen=True)
@@ -87,28 +98,10 @@ class TridiagonalOperator:
 
 @dataclass
 class SpectrumResult:
-    """Lowest k eigenvalues, ascending, and their eigenvectors on demand.
-
-    ``eigenvectors`` (shape (count, k)) is solved for the first time it is
-    read, from the stored operator, on the calling thread: LAPACK ``dstein``
-    finds the vectors of the levels in ``eigenvalues`` by inverse iteration
-    (``_lapack.eigenvectors``; only for a matrix that splits does ``dstebz``
-    in block order first find the levels' block numbers), and the columns
-    are sorted by level and normalized so that sum(f**2) * h = 1 (h = 1
-    without a grid).  Later reads return the same array.
-    """
+    """Lowest k eigenvalues, ascending, and the grid they were solved on."""
 
     eigenvalues: np.ndarray
     grid: Optional[Grid]
-    operator: TridiagonalOperator = field(repr=False)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        from . import _lapack
-
-        vecs = _lapack.eigenvectors(self.operator.diagonal, self.operator.offdiagonal, self.eigenvalues)
-        h = self.grid.h if self.grid is not None else 1.0
-        return vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
 
 
 def discretize(V: Callable, grid: Grid) -> TridiagonalOperator:
@@ -151,21 +144,39 @@ def eigen_tridiagonal(
     its search for the upper end of the levels' interval and none in that
     for the lower end; the second thread saves time when a second core is
     free.  The entries of op must be finite and k an integer in [1,
-    len(op.diagonal)].  Eigenvectors are solved for only when the result's
-    ``eigenvectors`` is first read (see SpectrumResult).
+    len(op.diagonal)].
     """
     d, e = op.diagonal, op.offdiagonal
     n = len(d)
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"eigenpair count k must be an integer, got {k!r}")
+        raise ValueError(f"level count k must be an integer, got {k!r}")
     if not 1 <= k <= n:
-        raise ValueError(f"eigenpair count k must be in [1, {n}], got {k}")
+        raise ValueError(f"level count k must be in [1, {n}], got {k}")
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("operator entries must be finite")
     from . import _lapack
 
-    vals = _lapack.lowest_levels(d, e, int(k))
-    return SpectrumResult(eigenvalues=vals, grid=grid, operator=op)
+    return SpectrumResult(eigenvalues=_lapack.lowest_levels(d, e, int(k)), grid=grid)
+
+
+def compact_levels(q: Callable, k: int) -> SpectrumResult:
+    """Lowest k levels of -((1 - r^2) f')' + q(r) f with Dirichlet ends on
+    the compact coordinate r in [-1 + R_DELTA, 1 - R_DELTA]."""
+    grid = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, SPECTRUM_POINTS)
+    return eigen_tridiagonal(discretize_sturm_liouville(lambda r: 1.0 - r * r, q, grid), k, grid=grid)
+
+
+def scarf_levels(V: Callable, k: int) -> SpectrumResult:
+    """Lowest k levels of -f'' + V(x) f with Dirichlet ends on the Scarf
+    coordinate x in [-pi/2 + X_DELTA, pi/2 - X_DELTA]."""
+    grid = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, SPECTRUM_POINTS)
+    return eigen_tridiagonal(discretize(V, grid), k, grid=grid)
+
+
+def box_levels(V: Callable, k: int) -> SpectrumResult:
+    """Lowest k levels of -f'' + V(u) f with Dirichlet ends on u in [-10, 10]."""
+    grid = Grid(-10.0, 10.0, SPECTRUM_POINTS)
+    return eigen_tridiagonal(discretize(V, grid), k, grid=grid)
 
 
 def second_derivative(f: np.ndarray, h: float) -> np.ndarray:

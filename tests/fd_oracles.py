@@ -1,9 +1,10 @@
-"""Test oracles on sampled functions: the finite-difference ODE residual and
-node and maxima counting.  No package code calls them."""
+"""Test oracles: the finite-difference ODE residual and node and maxima
+counting on sampled functions, and the eigenvectors of a tridiagonal
+operator.  No package code calls them."""
 
 import numpy as np
 
-from catenoid_dirac.numeric import Grid, second_derivative
+from catenoid_dirac.numeric import Grid, TridiagonalOperator, second_derivative
 
 
 def ode_residual(f: np.ndarray, V, E: float, grid: Grid) -> float:
@@ -45,3 +46,12 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
     e = np.r_[-np.inf, c, -np.inf]
     maxima = int(np.sum((c > e[:-2]) & (c > e[2:]) & (c > floor)))
     return changes, maxima
+
+
+def eigenvectors(op: TridiagonalOperator, k: int) -> np.ndarray:
+    """Eigenvectors of the lowest k levels of op as columns, from scipy's
+    eigh_tridiagonal: LAPACK stebz, whose levels eigen_tridiagonal gives bit
+    for bit, then stein for the vectors."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))[1]

@@ -28,6 +28,8 @@ from catenoid_dirac.analytic import (
 from catenoid_dirac.cli import main as cli_main
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import (
+    R_DELTA,
+    SPECTRUM_POINTS,
     Grid,
     discretize,
     discretize_sturm_liouville,
@@ -54,7 +56,7 @@ from catenoid_dirac.susy import (
     catenoid_ground_state,
     catenoid_ground_state_derivative,
 )
-from fd_oracles import count_features
+from fd_oracles import count_features, eigenvectors
 
 R1 = CatenoidParams(1.0)
 
@@ -217,17 +219,16 @@ def test_criterion_10_validity_bookkeeping(tmp_path):
 
 def test_criterion_11_figure_shape_cross_oracle():
     """Closed-form density maxima equal numeric-eigenvector maxima, n=0..3, m=3."""
-    delta = 1e-6
-    g = Grid(-1.0 + delta, 1.0 - delta, 4001)
+    g = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, SPECTRUM_POINTS)
     op = discretize_sturm_liouville(
         lambda r: 1 - r * r, lambda r: constant_case_rspace_potential(3, r), g
     )
-    spec = eigen_tridiagonal(op, 4, grid=g)
+    vecs = eigenvectors(op, 4)
     u = np.linspace(-10.0, 10.0, 4001)
     for n in range(4):
         chi = eigenfunction_constant_case(R1, QuantumNumbers(n, 3), u)
         _, maxima_closed = count_features(chi)
-        _, maxima_numeric = count_features(spec.eigenvectors[:, n])
+        _, maxima_numeric = count_features(vecs[:, n])
         assert maxima_closed == maxima_numeric, (
             f"criterion 11 FAIL: n={n} closed {maxima_closed} vs numeric {maxima_numeric}"
         )

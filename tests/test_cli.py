@@ -18,12 +18,12 @@ from catenoid_dirac import _csv_rows, cli
 from catenoid_dirac._csv_rows import E_MAX, E_MIN, csv_text
 from catenoid_dirac.cli import (
     CSV_UNIT_ROWS,
-    SPECTRUM_POINTS,
     _check_inputs,
     _write_csv,
     build_parser,
     main,
 )
+from catenoid_dirac.numeric import SPECTRUM_POINTS
 
 
 def read_csv(path):

@@ -17,9 +17,11 @@ from hypothesis.extra.numpy import arrays
 
 from catenoid_dirac import _lapack, cli, numeric
 from catenoid_dirac.analytic import constant_case_rspace_potential
-from catenoid_dirac.cli import R_DELTA, X_DELTA
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import (
+    R_DELTA,
+    SPECTRUM_POINTS,
+    X_DELTA,
     Grid,
     TridiagonalOperator,
     discretize,
@@ -30,7 +32,7 @@ from catenoid_dirac.numeric import (
     trapezoid_norm,
 )
 from catenoid_dirac.potentials import partner_potentials_from_W, scarf_form_pdfv
-from fd_oracles import count_features, ode_residual
+from fd_oracles import count_features, eigenvectors, ode_residual
 
 rng = np.random.default_rng(7)
 
@@ -131,63 +133,14 @@ class TestEigenTridiagonal:
     def test_1x1_operator(self, grid):
         res = eigen_tridiagonal(TridiagonalOperator(np.array([2.5]), np.array([])), 1, grid=grid)
         assert np.array_equal(res.eigenvalues, [2.5])
-        h = grid.h if grid is not None else 1.0
-        assert np.array_equal(res.eigenvectors, [[1.0 / math.sqrt(h)]])
+        assert res.grid is grid
 
     def test_oscillation_theorem(self):
         g = Grid(-10.0, 10.0, 2001)
-        res = eigen_tridiagonal(discretize(lambda x: x * x, g), 5, grid=g)
+        vecs = eigenvectors(discretize(lambda x: x * x, g), 5)
         for k in range(5):
-            changes, _ = count_features(res.eigenvectors[:, k])
+            changes, _ = count_features(vecs[:, k])
             assert changes == k
-
-    def test_orthonormal_in_grid_inner_product(self):
-        g = Grid(-10.0, 10.0, 2001)
-        res = eigen_tridiagonal(discretize(lambda x: x * x, g), 4, grid=g)
-        gram = res.eigenvectors.T @ res.eigenvectors * g.h
-        assert np.max(np.abs(gram - np.eye(4))) < 1e-8
-
-    def test_weighted_eigenvectors(self):
-        # columns are normalized with the grid weight h and solve T v = E v
-        # with the stored operator T
-        g = Grid(-6.0, 6.0, 1201)
-        op = discretize(lambda x: x * x + 0.5 * np.sin(x), g)
-        res = eigen_tridiagonal(op, 4, grid=g)
-        v = res.eigenvectors
-        assert res.operator is op
-        assert np.allclose(np.sum(v**2, axis=0) * g.h, 1.0, rtol=1e-12)
-        tv = op.diagonal[:, None] * v
-        tv[:-1] += op.offdiagonal[:, None] * v[1:]
-        tv[1:] += op.offdiagonal[:, None] * v[:-1]
-        residual = tv - res.eigenvalues * v
-        assert np.max(np.abs(residual)) < 1e-9 * np.max(np.abs(tv))
-
-    def test_eigenvectors_computed_on_first_read(self):
-        g = Grid(-10.0, 10.0, 801)
-        res = eigen_tridiagonal(discretize(lambda x: x * x, g), 3, grid=g)
-        assert "eigenvectors" not in vars(res)
-        vecs = res.eigenvectors
-        assert vecs.shape == (g.count, 3)
-        assert "eigenvectors" in vars(res)
-        assert res.eigenvectors is vecs
-
-    @pytest.mark.parametrize("off, orders", [(-1.0, []), (0.0, [b"B"])], ids=["one_block", "split"])
-    def test_eigenvectors_bisect_again_only_a_matrix_that_splits(self, off, orders):
-        # dstein takes the levels the result holds for one block; a matrix
-        # that splits needs the block numbers of dstebz in block order
-        op = TridiagonalOperator(2.0 + np.cos(np.arange(60.0)), np.r_[np.full(29, -1.0), off, np.full(29, -1.0)])
-        res = eigen_tridiagonal(op, 5)
-        called = []
-        real = _lapack.dstebz
-
-        def spy(order, *args):
-            called.append(order)
-            return real(order, *args)
-
-        with mock.patch.object(_lapack, "dstebz", spy):
-            vecs = res.eigenvectors
-        assert called == orders
-        assert vecs.shape == (60, 5)
 
     def test_convergence_ratio(self):
         exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
@@ -391,19 +344,19 @@ class TestCountFeatures:
 
 def _cli_operators():
     """The operators that ``spectrum --mode numeric|both`` and the harmonic
-    ``susy-check`` eigensolve, with their eigenvalue counts, and the first two
-    on the finer grids of the benchmark sweep."""
+    ``susy-check`` eigensolve, built by hand, with their eigenvalue counts,
+    and the first two on the finer grids of the benchmark sweep."""
     params = CatenoidParams(1.0)
     ops = {}
-    for size in (4001, 16001, 64001):
+    for size in (SPECTRUM_POINTS, 16001, 64001):
         r = Grid(-1.0 + R_DELTA, 1.0 - R_DELTA, size)
-        suffix = "" if size == 4001 else f"_{size}"
+        suffix = "" if size == SPECTRUM_POINTS else f"_{size}"
         ops["constant_m3" + suffix] = (discretize_sturm_liouville(
             lambda r: 1.0 - r * r, lambda r: constant_case_rspace_potential(3, r), r
         ), 7)
         x = Grid(-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA, size)
         ops["scarf_m2" + suffix] = (discretize(lambda x: scarf_form_pdfv(params, 2, x), x), 6)
-    u = Grid(-10.0, 10.0, 4001)
+    u = Grid(-10.0, 10.0, SPECTRUM_POINTS)
     v1, v2 = partner_potentials_from_W(lambda u: u, u.points, dW=np.ones_like)
     ops["harmonic_minus"] = (discretize(lambda _: v1, u), 7)
     ops["harmonic_plus"] = (discretize(lambda _: v2, u), 6)
@@ -442,14 +395,29 @@ def _random_operators():
     pytest.param(op, k, id=name) for name, (op, k) in {**_cli_operators(), **_random_operators()}.items()
 ])
 def test_eigenvalues_match_vector_path(op, k):
-    # eigh_tridiagonal is the reference for both the levels and the vectors;
-    # the package itself never imports scipy.linalg
+    # eigh_tridiagonal, which also solves for the vectors, is the reference
+    # for the levels; the package itself never imports scipy.linalg
     from scipy.linalg import eigh_tridiagonal
 
-    ref, ref_vecs = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))
-    res = eigen_tridiagonal(op, k)
-    assert np.array_equal(res.eigenvalues, ref)
-    assert np.array_equal(res.eigenvectors, ref_vecs / np.sqrt(np.sum(ref_vecs**2, axis=0)))
+    ref, _ = eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))
+    assert np.array_equal(eigen_tridiagonal(op, k).eigenvalues, ref)
+
+
+@pytest.mark.parametrize("name, levels, V, grid", [
+    ("constant_m3", numeric.compact_levels, lambda r: constant_case_rspace_potential(3, r),
+     (-1.0 + R_DELTA, 1.0 - R_DELTA)),
+    ("scarf_m2", numeric.scarf_levels, lambda x: scarf_form_pdfv(CatenoidParams(1.0), 2, x),
+     (-math.pi / 2 + X_DELTA, math.pi / 2 - X_DELTA)),
+    ("harmonic_minus", numeric.box_levels, lambda u: u * u - 1.0, (-10.0, 10.0)),
+    ("harmonic_plus", numeric.box_levels, lambda u: u * u + 1.0, (-10.0, 10.0)),
+], ids=["compact", "scarf", "box_minus", "box_plus"])
+def test_level_functions_solve_the_hand_built_operators(name, levels, V, grid):
+    # each numeric level function the CLI calls gives, bit for bit, the
+    # levels of eigen_tridiagonal on the operator built by hand, on its grid
+    op, k = _cli_operators()[name]
+    res = levels(V, k)
+    assert res.eigenvalues.tobytes() == eigen_tridiagonal(op, k).eigenvalues.tobytes()
+    assert res.grid == Grid(*grid, SPECTRUM_POINTS)
 
 
 def _one_dstebz_call(d, e, k):
@@ -469,18 +437,17 @@ GLUED_W11 = (np.tile(np.abs(np.arange(-5.0, 6.0)), 2), np.r_[np.ones(10), 1e-10,
 
 def _levels_and_route(d, e, k):
     """eigen_tridiagonal's levels and how they were found: "two threads"
-    (the split bisection, no dstebz call) or "one call" (index mode)."""
-    orders = []
+    (the split bisection, no dstebz call) or "one call"."""
+    calls = []
     real = _lapack.dstebz
 
-    def spy(order, *args):
-        orders.append(order)
-        return real(order, *args)
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
     with mock.patch.object(_lapack, "dstebz", spy):
         levels = eigen_tridiagonal(TridiagonalOperator(d, e), k).eigenvalues
-    route = {(): "two threads", (b"E",): "one call"}[tuple(orders)]
-    return levels, route
+    return levels, {0: "two threads", 1: "one call"}[len(calls)]
 
 
 def _assert_same_levels(d, e, k):
@@ -605,19 +572,28 @@ class TestSameLevelsAsOneDstebzCall:
         from scipy.linalg import eigh_tridiagonal
 
         d, e = np.full(6, 1e308), np.full(5, -9e307)
-        orders = []
+        calls = []
         real = _lapack.dstebz
 
-        def spy(order, *args):
-            orders.append(order)
-            return real(order, *args)
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-        with np.errstate(over="ignore"), mock.patch.object(_lapack, "dstebz", spy):
+        with mock.patch.object(_lapack, "dstebz", spy):
             with pytest.raises(np.linalg.LinAlgError, match="dstebz failed with info = 4"):
                 eigen_tridiagonal(TridiagonalOperator(d, e), 3)
             with pytest.raises(np.linalg.LinAlgError, match="info=4"):
                 eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 2))
-        assert orders == [b"E"]
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_split_test_makes_the_one_call_without_a_warning(self):
+        # the products of neighbouring diagonal entries near 1e158 overflow
+        # in the split test, as in dstebz's own, which splits the matrix
+        # there: the levels are that call's, and no overflow is reported
+        # (the Scarf operator of spectrum --R 1e150 --lambda 1 has such entries)
+        d = 1e158 * (2.0 + np.cos(np.arange(40.0)))
+        assert _assert_same_levels(d, np.full(39, -1.0), 5) == "one call"
 
     @pytest.mark.parametrize("budget", [0, 2, 5])
     def test_exhausted_budget_makes_the_one_call(self, monkeypatch, budget):
@@ -673,37 +649,14 @@ class TestSameLevelsAsOneDstebzCall:
     ], ids=" ".join)
     def test_readme_command_operators(self, tmp_path, argv):
         solved = []
-        real = cli.eigen_tridiagonal
+        real = numeric.eigen_tridiagonal
 
         def record(op, k, grid=None):
             solved.append((op, k))
             return real(op, k, grid=grid)
 
-        with mock.patch.object(cli, "eigen_tridiagonal", record):
+        with mock.patch.object(numeric, "eigen_tridiagonal", record):
             assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert solved
         for op, k in solved:
             assert _assert_same_levels(op.diagonal, op.offdiagonal, k) == "two threads"
-
-    @settings(max_examples=100, deadline=None)
-    @given(_tridiagonals(max_n=30), st.sampled_from([None, Grid(0.0, 1.0, 16)]))
-    def test_eigenvectors_match_f2py_path(self, case, grid):
-        # the vectors are dstebz (block order) plus dstein, as through the
-        # f2py wrappers, sorted and normalized the same way
-        from scipy.linalg import lapack
-
-        d, e, k = case
-        result = eigen_tridiagonal(TridiagonalOperator(d, e), k, grid=grid)
-        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
-        assert info == 0
-        w = w[:m]
-        vecs, info = lapack.dstein(d, e, w, iblock, isplit)
-        if info != 0:  # inverse iteration failed there too
-            with pytest.raises(np.linalg.LinAlgError, match=f"dstein failed with info = {info}"):
-                result.eigenvectors
-            return
-        vecs = vecs[:, np.argsort(w)]
-        h = grid.h if grid is not None else 1.0
-        ref = vecs / np.sqrt(np.sum(vecs**2 * h, axis=0))
-        got = result.eigenvectors
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
