@@ -4,9 +4,11 @@ The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) of the
 LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links,
 opened without importing any scipy module, and ``lowest_levels``, which
 splits the bisection tree of one ``dstebz`` call in two, bisects one half
-on each of two threads and returns that call's levels bit for bit.
-``numeric`` imports this module on its first eigensolve, so importing the
-package compiles and opens none of it.
+on each of two threads (``numeric._map_on_two_threads``) and returns that
+call's levels bit for bit.  Every ``dlaebz`` call goes through
+``_Dlaebz.run``, on an object that one thread makes and alone calls;
+``_fortran`` calls ``dstebz``.  ``numeric`` imports this module on its
+first eigensolve, so importing the package compiles and opens none of it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import threading
 from functools import cache
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
+
+from .numeric import _map_on_two_threads
 
 
 def lowest_levels(d, e, k: int) -> np.ndarray:
@@ -171,13 +174,14 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     gl, gu = gl - widen - _FUDGE * 2.0 * pivmin, gu + widen + _FUDGE * pivmin
     if not (math.isfinite(gl) and math.isfinite(gu)):
         return None
-    dlaebz = _Dlaebz(handle().dlaebz, d, e, e2, pivmin)
+    # the calling thread's dlaebz, with room for one split of one interval
+    dlaebz = _Dlaebz(handle().dlaebz, d, e, e2, pivmin, 2)
     wu = _upper_end(dlaebz, k, gl, gu, tnorm)
     if wu is None or not low < min(gu, wu):
         return None
     hi = min(gu, wu)
     atoli, itmax = _ULP * max(abs(low), abs(gu)), _iterations(hi - low, pivmin)
-    [(_, _, nl, nu)], _ = dlaebz.run(1, 0, atoli, low, hi, 0, 0)
+    [(_, _, nl, nu)], _ = dlaebz.run(1, 0, atoli, [(low, hi, 0, 0)])
     if (nl, nu) != (0, k):
         return None
     # step the interval that holds levels j and j + 1 until they part; every
@@ -190,18 +194,20 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
         if not na < j < nb:
             halves[na >= j].append(interval)
             continue
-        out = _write_converged(*dlaebz.run(2, 1, atoli, *interval), levels) if steps < itmax else None
+        out = _write_converged(*dlaebz.run(2, 1, atoli, [interval]), levels) if steps < itmax else None
         if out is None:
             return None
         unconverged += out
         steps += 1
 
     # an interval that parted earlier has fewer iterations here than in the
-    # one call; one left unconverged sends the solve to that call
-    def bisect(half):
-        return _write_converged(*dlaebz.bisect(itmax - steps, atoli, half), levels)
+    # one call; one left unconverged sends the solve to that call.  Each
+    # thread has a dlaebz of its own, with room for every level of its half
+    def bisect_half(half):
+        own = _Dlaebz(dlaebz.routine, d, e, e2, pivmin, sum(nb - na for _, _, na, nb in half))
+        return _write_converged(*own.run(2, itmax - steps, atoli, half), levels)
 
-    outs = _map_on_two_threads(bisect, [half for half in halves if half])
+    outs = _map_on_two_threads(bisect_half, [half for half in halves if half])
     return levels if all(out == [] for out in outs) else None
 
 
@@ -236,7 +242,7 @@ def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
     while first - before > 1:
         j = (before + first) // 2
         # the step keeps a count <= k as the lower end's, a larger one as the upper's
-        [(_, _, below, above)], _ = dlaebz.run(3, 1, abstol, gl, gu, -1, n + 1, nval=k, start=points[j])
+        [(_, _, below, above)], _ = dlaebz.run(3, 1, abstol, [(gl, gu, -1, n + 1)], nval=k, start=points[j])
         counts[j] = below if below >= 0 else above
         if counts[j] <= k:
             first = j
@@ -251,65 +257,46 @@ def _upper_end(dlaebz: _Dlaebz, k: int, gl: float, gu: float, tnorm: float):
         b, nb = a, na
     steps = itmax - first - 1
     if steps > 0 and not _converged(a, b, na, nb, abstol, pivmin):
-        [(_, b, _, nb)], _ = dlaebz.run(3, steps, abstol, a, b, na, nb, nval=k, start=0.5 * (a + b))
+        [(_, b, _, nb)], _ = dlaebz.run(3, steps, abstol, [(a, b, na, nb)], nval=k, start=0.5 * (a + b))
     return b if nb == k else None
 
 
 class _Dlaebz:
-    """``dlaebz`` on one matrix (d, e, e2).
+    """``dlaebz`` on one matrix (d, e, e2), with room for MMAX intervals, for
+    one thread: ``run`` keeps its arguments in two arrays of the object's
+    own, whose addresses are taken once, so that a call costs a few
+    microseconds of Python, not the tens ``_fortran`` spends converting."""
 
-    ``run``, for one interval in and only on the thread that made the
-    object, keeps its scalar and interval arguments in two small arrays
-    whose addresses are taken once, so that a call costs a few
-    microseconds of Python, not the tens that ``_fortran`` spends
-    converting arguments.  ``bisect``, for any number of intervals, calls
-    through ``_fortran`` from arrays of its own, so any thread can call it.
-    """
-
-    def __init__(self, routine, d, e, e2, pivmin: float):
+    def __init__(self, routine, d, e, e2, pivmin: float, mmax: int):
         self.routine, self.n, self.pivmin = routine, len(d), pivmin
-        # ints: IJOB, NITMAX, N, MMAX, MINP, NBMIN, NVAL, MOUT, INFO,
-        # NAB(2, 2), IWORK(2); reals: ABSTOL, RELTOL, PIVMIN, AB(2, 2),
-        # C(2), WORK(2).  MINP is 1 and NBMIN 0, as in dstebz (whose block
-        # size for dlaebz is 1, which it passes as 0)
-        self.ints, self.reals = np.zeros(15, np.int32), np.zeros(11)
-        self.ints[2], self.ints[4] = self.n, 1
-        self.reals[1], self.reals[2] = _RTOLI, pivmin
+        # ints: IJOB, NITMAX, N, MMAX, MINP, NBMIN, MOUT, INFO, NVAL(MMAX),
+        # NAB(MMAX, 2), IWORK(MMAX); reals: ABSTOL, RELTOL, PIVMIN, C(MMAX),
+        # AB(MMAX, 2), WORK(MMAX).  NBMIN is 0, as in dstebz (whose block
+        # size for dlaebz is 1, which it passes as 0).  AB and NAB are
+        # column-major, so row c of the (2, MMAX) views is column c + 1
+        self.ints, self.reals = np.zeros(8 + 4 * mmax, np.int32), np.zeros(3 + 4 * mmax)
+        self.ints[2:4], self.reals[1:3] = (self.n, mmax), (_RTOLI, pivmin)
+        self.nab = self.ints[8 + mmax:8 + 3 * mmax].reshape(2, mmax)
+        self.ab = self.reals[3 + mmax:3 + 3 * mmax].reshape(2, mmax)
         i, r = self.ints.ctypes.data, self.reals.ctypes.data
         self.args = (i, i + 4, i + 8, i + 12, i + 16, i + 20, r, r + 8, r + 16,
-                     d.ctypes.data, e.ctypes.data, e2.ctypes.data, i + 24, r + 24, r + 56,
-                     i + 28, i + 36, r + 72, i + 52, i + 32)
+                     d.ctypes.data, e.ctypes.data, e2.ctypes.data, i + 32, r + 24 + 8 * mmax, r + 24,
+                     i + 24, i + 32 + 4 * mmax, r + 24 + 24 * mmax, i + 32 + 12 * mmax, i + 28)
         self.keep = (d, e, e2)  # the arrays whose addresses args holds
 
-    def run(self, job: int, nitmax: int, abstol: float, a: float, b: float, na: int, nb: int,
-            nval: int = 0, start: float = 0.0):
-        """One call on the interval (a, b] with counts na, nb, and MMAX = 2
-        (room for one split) for job 2, 1 otherwise: the intervals out as
-        (a, b, na, nb), the converged first, and the info."""
-        ints, reals = self.ints, self.reals
-        mmax = 2 if job == 2 else 1
-        ints[0], ints[1], ints[3], ints[6], ints[9], ints[9 + mmax] = job, nitmax, mmax, nval, na, nb
-        reals[0], reals[3], reals[3 + mmax], reals[7] = abstol, a, b, start
+    def run(self, job: int, nitmax: int, abstol: float, intervals, nval: int = 0, start: float = 0.0):
+        """One call on the intervals (a, b, na, nb), at most MMAX of them,
+        with NVAL(1) = nval and C(1) = start (job 3's count and first point
+        for the first interval): the intervals out, the converged first for
+        job 2, and the info."""
+        ints, ab, nab, minp = self.ints, self.ab, self.nab, len(intervals)
+        ints[0], ints[1], ints[4], ints[8] = job, nitmax, minp, nval
+        self.reals[0], self.reals[3] = abstol, start
+        for j, (a, b, na, nb) in enumerate(intervals):
+            ab[0, j], ab[1, j], nab[0, j], nab[1, j] = a, b, na, nb
         self.routine(*self.args)
-        mout = int(ints[7]) if job == 2 else 1
-        ab, nab = reals[3:3 + 2 * mmax].tolist(), ints[9:9 + 2 * mmax].tolist()
-        return [(ab[j], ab[mmax + j], nab[j], nab[mmax + j]) for j in range(mout)], int(ints[8])
-
-    def bisect(self, nitmax: int, abstol: float, intervals):
-        """One job-2 call on the intervals (a, b, na, nb), with MMAX the
-        number of levels they hold, room for every interval the call can
-        make: the intervals out, the converged first, and the info."""
-        minp, mmax = len(intervals), sum(nb - na for _, _, na, nb in intervals)
-        # AB(MMAX, 2) and NAB(MMAX, 2) are column-major, so row c of a
-        # (2, MMAX) array is column c + 1
-        ab, nab = np.empty((2, mmax)), np.empty((2, mmax), np.int32)
-        a, b, na, nb = zip(*intervals)
-        ab[:, :minp], nab[:, :minp] = (a, b), (na, nb)
-        mout, info = ctypes.c_int(), ctypes.c_int()
-        _fortran(self.routine, 2, nitmax, self.n, mmax, minp, 0, abstol, _RTOLI, self.pivmin, *self.keep,
-                 np.empty(minp, np.int32), ab, np.empty(mmax), mout, nab, np.empty(mmax),
-                 np.empty(mmax, np.int32), info)
-        return list(zip(*ab[:, :mout.value].tolist(), *nab[:, :mout.value].tolist())), info.value
+        mout = int(ints[6]) if job == 2 else minp
+        return list(zip(*ab[:, :mout].tolist(), *nab[:, :mout].tolist())), int(ints[7])
 
 
 def _write_converged(out, info: int, levels: np.ndarray):
@@ -321,29 +308,3 @@ def _write_converged(out, info: int, levels: np.ndarray):
     for a, b, na, nb in out[: len(out) - info]:
         levels[na:nb] = 0.5 * (a + b)
     return out[len(out) - info:]
-
-
-def _map_on_two_threads(work: Callable, items: list) -> list:
-    """[work(item) for item in items], for at most two items, the first on
-    this thread and the second on a new one at once; the new thread is
-    joined before this returns or raises, and what it raised is raised
-    here."""
-    if len(items) < 2:
-        return [work(item) for item in items]
-    results = []
-
-    def run():
-        try:
-            results.append(work(items[1]))
-        except Exception as exc:  # raised again on the calling thread
-            results.append(exc)
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        first = work(items[0])
-    finally:
-        thread.join()
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return [first, results[0]]

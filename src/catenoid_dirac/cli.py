@@ -4,8 +4,8 @@ Every data file gets a JSON manifest sidecar at <out>.manifest.json with
 the tool version, the command, every parsed option but --out and --format,
 truncation metadata, and any validity flags raised during the run.  CSV
 uses 17 significant digits so files round-trip bit-exactly; ``_csv_rows``
-formats them in bulk with numpy, CSV_UNIT_ROWS rows at a time, and from
-two such chunks on a helper thread formats every other chunk.
+formats them in bulk with numpy, CSV_UNIT_ROWS rows at a time, two chunks
+at once on the calling thread and a helper thread.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .numeric import (
     SPECTRUM_POINTS,
     X_DELTA,
     Grid,
+    _map_on_two_threads,
     box_levels,
     compact_levels,
     scarf_levels,
@@ -66,26 +67,18 @@ ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
     """Header line, then one "%.17g" row per sample, comma-separated: the
     same bytes as np.savetxt.  ``csv_text`` formats CSV_UNIT_ROWS rows at a
-    time; from two such chunks on, a helper thread formats each odd chunk
-    while this thread formats and writes the even one before it, so two
-    chunks at most are held at once.  Returns one validity flag per column
-    with non-finite cells, naming its count and the first value of the
-    first column (u) at which one occurs.
+    time, two such chunks at once, the second on a helper thread, and the
+    pair is written before the next is formatted; a table of one chunk
+    starts no thread.  Returns one validity flag per column with non-finite
+    cells, naming its count and the first value of the first column (u) at
+    which one occurs.
     """
     table = np.column_stack(columns).astype(float, copy=False)
     chunks = [table[start:start + CSV_UNIT_ROWS] for start in range(0, len(table), CSV_UNIT_ROWS)]
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        if len(chunks) < 2:
-            fh.writelines(map(csv_text, chunks))
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # a few ms that one chunk never needs
-
-            with ThreadPoolExecutor(1) as helper:
-                for even in range(0, len(chunks), 2):
-                    odd = [helper.submit(csv_text, chunk) for chunk in chunks[even + 1:even + 2]]
-                    fh.write(csv_text(chunks[even]))
-                    fh.writelines(future.result() for future in odd)
+        for pair in range(0, len(chunks), 2):
+            fh.writelines(_map_on_two_threads(csv_text, chunks[pair:pair + 2]))
     bad = ~np.isfinite(table)
     return [f"{name}: {count} of {len(table)} cells are not finite, the first at u = "
             f"{table[col.argmax(), 0]:g}"

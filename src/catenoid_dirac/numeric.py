@@ -17,12 +17,14 @@ extension ``scipy/linalg/_flapack`` links (module ``_lapack``, imported on
 the first eigensolve); no scipy module is imported.  ``eigen_tridiagonal``
 returns the levels of one ``dstebz`` call bit for bit, from two threads
 that each bisect one half of that call's bisection tree; the second thread
-pays only when a second core is free.
+pays only when a second core is free.  ``_map_on_two_threads`` starts
+every thread of the package: the eigensolver's and the CSV writer's.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -214,3 +216,29 @@ def trapezoid_norm(values, u, weight=1.0) -> float:
     if not 0.0 < norm < math.inf:
         raise ValueError(f"cannot normalize a function whose weighted norm on the grid is {norm or 'zero'}")
     return norm
+
+
+def _map_on_two_threads(work: Callable, items: list) -> list:
+    """[work(item) for item in items], for at most two items, the first on
+    this thread and the second on a new one at once; the new thread is
+    joined before this returns or raises, and what it raised is raised
+    here."""
+    if len(items) < 2:
+        return [work(item) for item in items]
+    results = []
+
+    def run():
+        try:
+            results.append(work(items[1]))
+        except Exception as exc:  # raised again on the calling thread
+            results.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        first = work(items[0])
+    finally:
+        thread.join()
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return [first, results[0]]

@@ -635,6 +635,16 @@ def test_write_csv_raises_what_the_helper_thread_raised(tmp_path, monkeypatch):
     assert set(threading.enumerate()) == before
 
 
+def test_write_csv_loads_no_executor_and_leaves_no_thread(tmp_path):
+    # a 100001-row export formats its 25 chunks in pairs, the second of each
+    # on a helper thread that is joined before the pair is written; no
+    # executor module is loaded
+    argv = ["potentials", "--R", "1.5", "--m", "-2", "--lambda", "0.8", "--samples", "100001", "--out", "out.csv"]
+    code = (f"import sys, threading; from catenoid_dirac.cli import main; assert main({argv!r}) == 0; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    assert _python(code, cwd=tmp_path) == "False 1"
+
+
 def test_write_csv_flags_non_finite_columns(tmp_path):
     u = np.arange(4.0)
     flags = _write_csv(tmp_path / "out.csv", ["u", "a", "b"],

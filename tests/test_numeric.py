@@ -161,8 +161,9 @@ def fresh_lapack():
 
 
 # the INFO arguments of dstebz, which _lapack passes as a ctypes int by
-# reference, and of dlaebz, which it passes as an address
-DSTEBZ_INFO, DLAEBZ_INFO = 17, 19
+# reference, and of dlaebz, which it passes as an address, as it does
+# dlaebz's AB and NAB
+DSTEBZ_INFO, DLAEBZ_INFO, DLAEBZ_AB, DLAEBZ_NAB = 17, 19, 13, 16
 
 
 def _int_argument(arg) -> ctypes.c_int:
@@ -560,6 +561,27 @@ class TestSameLevelsAsOneDstebzCall:
         # bisects the upper half with one job-2 call; no search (dlaebz job
         # 3) runs on it
         assert _threads_and_helper_jobs(monkeypatch, 7) == (1, [2])
+
+    def test_bisecting_threads_share_no_dlaebz_arrays(self, monkeypatch):
+        # each thread passes dlaebz an AB and a NAB of its own.  The two
+        # bisecting calls, the only ones made once the helper has started,
+        # wait for each other, so the arrays of both threads are alive at
+        # once and no address freed by one can come back to the other
+        real = _lapack.handle().dlaebz
+        before, both, addresses = threading.active_count(), threading.Barrier(2, timeout=60), {}
+
+        def dlaebz(*args):
+            if threading.active_count() > before:
+                both.wait()
+            addresses.setdefault(threading.get_ident(), set()).update((args[DLAEBZ_AB], args[DLAEBZ_NAB]))
+            real(*args)
+
+        spying = SimpleNamespace(**{**vars(_lapack.handle()), "dlaebz": dlaebz})
+        monkeypatch.setattr(_lapack, "handle", lambda: spying)
+        op = discretize(lambda x: x * x, Grid(-10.0, 10.0, 801))
+        assert _assert_same_levels(op.diagonal, op.offdiagonal, 7) == "two threads"
+        calling, helper = addresses.values()
+        assert calling.isdisjoint(helper)
 
     def test_one_level_starts_no_thread(self, monkeypatch):
         # at k = 1 the lower half holds no level and the calling thread
