@@ -3,14 +3,15 @@ cell, computed in bulk with numpy.
 
 For |x| in [1e-280, 1e280] the 17 significant digits are round(y), with
 y = |x| * 10**(16 - floor(log10|x|)) a double-double product (Dekker,
-Numer. Math. 18, 1971) against a (hi, lo) table of powers of ten, exact to
-about 1e-14.  Each cell fills four 8-byte words from lookup tables, NUL in
-every empty byte: sign, "0." lead and leading digit, flush right; the
-digits and the point, then the separator, or "e", exponent and separator.
-A numpy mask, which runs without the GIL, drops the NULs.  Python's own
-formatter writes the cells the kernel cannot certify: 0, NaN, +-inf, |x|
-outside that range, a fraction of y within TIE_MARGIN of 1/2, and an
-exponent guess that puts y outside [1e16, 1e17).  The tables are built on
+Numer. Math. 18, 1971) against a (hi, lo) table of powers of ten, the
+power and its remainder each correctly rounded, so y is exact to about
+1e-14.  Each cell fills four 8-byte words from lookup tables, NUL in every
+empty byte: sign, "0." lead and leading digit, flush right; the digits and
+the point, then the separator, or "e", exponent and separator.  A numpy
+mask, which runs without the GIL, drops the NULs.  Python's own formatter
+writes the cells the kernel cannot certify: 0, NaN, +-inf, |x| outside
+that range, a fraction of y within TIE_MARGIN of 1/2, and an exponent
+guess that puts y outside [1e16, 1e17).  The tables are built on
 first use.
 """
 
@@ -40,19 +41,15 @@ def _two_product(a, b):
 
 @cache
 def _powers():
-    """Rows (hi, lo) of 10**(16 - E) for E = E_MIN..E_MAX: hi + lo is the
-    power to about 1e-31 relative."""
-    top = 16 - E_MIN
-    hi, lo = 10.0 ** np.arange(23), np.zeros(23)  # exact up to 10**22
-    while len(hi) <= top:  # 10**(22 + j) = 10**22 * 10**j, renormalized
-        p, e = _two_product(hi[-22:top - 21], 1e22)
-        e = e + lo[-22:top - 21] * 1e22
-        hi, lo = np.concatenate([hi, p + e]), np.concatenate([lo, e - ((p + e) - p)])
-    small = slice(1, E_MAX - 15)  # 10**-k = 1/10**k, with one Newton step for its low part
-    inv = 1.0 / hi[small]
-    p, e = _two_product(inv, hi[small])
-    inv_lo = inv * (((1.0 - p) - e) - inv * lo[small])
-    return np.stack([np.concatenate([hi[::-1], inv]), np.concatenate([lo[::-1], inv_lo])], axis=1)
+    """Rows (hi, lo) of 10**(16 - E) for E = E_MIN..E_MAX: hi is the power
+    and lo the power minus hi, each correctly rounded, from exact integer
+    ratios (CPython rounds int / int correctly)."""
+    rows = []
+    for k in range(16 - E_MIN, 15 - E_MAX, -1):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        p, q = (num / den).as_integer_ratio()
+        rows.append((p / q, (num * q - p * den) / (den * q)))
+    return np.array(rows)
 
 
 @cache

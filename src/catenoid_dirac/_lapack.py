@@ -6,9 +6,9 @@ opened without importing any scipy module, and ``lowest_levels``, which
 splits the bisection tree of one ``dstebz`` call in two, bisects one half
 on each of two threads (``numeric._map_on_two_threads``) and returns that
 call's levels bit for bit.  Every ``dlaebz`` call goes through
-``_Dlaebz.run``, on an object that one thread makes and alone calls;
-``_fortran`` calls ``dstebz``.  ``numeric`` imports this module on its
-first eigensolve, so importing the package compiles and opens none of it.
+``_Dlaebz.run``, on an object that one thread makes and alone calls.
+``numeric`` imports this module on its first eigensolve, so importing the
+package compiles and opens none of it.
 """
 
 from __future__ import annotations
@@ -88,36 +88,19 @@ def _scipy_version() -> str:
     return version("scipy")
 
 
-def _fortran(routine, *args) -> None:
-    """Call a Fortran routine: an int or float by reference to a Fortran
-    INTEGER or DOUBLE PRECISION, an array (contiguous, of the routine's
-    type) or a ctypes scalar by its address, and bytes as a CHARACTER
-    argument, whose hidden length goes after all the other arguments."""
-    refs, lengths = [], []
-    for arg in args:
-        if isinstance(arg, np.ndarray):
-            refs.append(arg.ctypes.data)
-        elif isinstance(arg, bytes):
-            refs.append(arg)
-            lengths.append(len(arg))
-        elif isinstance(arg, int):
-            refs.append(ctypes.byref(ctypes.c_int(arg)))
-        elif isinstance(arg, float):
-            refs.append(ctypes.byref(ctypes.c_double(arg)))
-        else:
-            refs.append(ctypes.byref(arg))
-    routine(*refs, *lengths)
-
-
 def dstebz(d, e, k: int) -> np.ndarray:
     """Levels 1..k, ascending, of contiguous float arrays (d, e) from LAPACK
     dstebz in index mode with tolerance 0.  A nonzero info raises
     LinAlgError."""
-    n = len(d)
-    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    n, byref, c_int, c_double = len(d), ctypes.byref, ctypes.c_int, ctypes.c_double
+    m, nsplit, info = c_int(), c_int(), c_int()
     w = np.empty(n)
-    _fortran(handle().dstebz, b"I", b"E", n, 0.0, 1.0, 1, int(k), 0.0, d, e, m, nsplit, w,
-             np.empty(n, np.int32), np.empty(n, np.int32), np.empty(4 * n), np.empty(3 * n, np.int32), info)
+    # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
+    # and the lengths of RANGE and ORDER; an array's ctypes object passes (and holds) its address
+    handle().dstebz(b"I", b"E", byref(c_int(n)), byref(c_double(0.0)), byref(c_double(1.0)), byref(c_int(1)),
+                    byref(c_int(int(k))), byref(c_double(0.0)), d.ctypes, e.ctypes, byref(m), byref(nsplit),
+                    w.ctypes, np.empty(n, np.int32).ctypes, np.empty(n, np.int32).ctypes, np.empty(4 * n).ctypes,
+                    np.empty(3 * n, np.int32).ctypes, byref(info), 1, 1)
     if info.value != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstebz failed with info = {info.value}")
     return w[: m.value].copy()
@@ -265,7 +248,7 @@ class _Dlaebz:
     """``dlaebz`` on one matrix (d, e, e2), with room for MMAX intervals, for
     one thread: ``run`` keeps its arguments in two arrays of the object's
     own, whose addresses are taken once, so that a call costs a few
-    microseconds of Python, not the tens ``_fortran`` spends converting."""
+    microseconds of Python, not the tens of converting every argument."""
 
     def __init__(self, routine, d, e, e2, pivmin: float, mmax: int):
         self.routine, self.n, self.pivmin = routine, len(d), pivmin

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CatenoidParams
+from .geometry import CatenoidParams, spin_connection
 from .numeric import Grid, WavefunctionSamples
 from .potentials import ScarfVF, _check_x, _rspace_potential
 from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
@@ -177,14 +177,15 @@ def eigenfunction_constant_case(
     P_n^(2a,2b)(0), which is 1 for n = 0.
     """
     jp = _branch_or_regularized(qn.m, allow_invalid)
-    u = np.asarray(u, dtype=float)
-    return _jacobi_profile(jp, qn.n, u / np.sqrt(u * u + params.R**2), exponent_shift)
+    t = spin_connection(params, np.asarray(u, dtype=float))  # u/sqrt(R^2+u^2)
+    return _jacobi_state(1.0, t, jp.a - exponent_shift, jp.b - exponent_shift, qn.n, 2.0 * jp.a, 2.0 * jp.b)
 
 
-def _jacobi_profile(jp: JacobiBranchParams, n: int, t, shift: float):
-    """(1-t)^(a-shift) (1+t)^(b-shift) P_n^(2a,2b)(t) of the polynomial branch."""
-    pj = jacobi(JacobiParams(n, 2.0 * jp.a, 2.0 * jp.b), t)
-    return (1.0 - t) ** (jp.a - shift) * (1.0 + t) ** (jp.b - shift) * pj
+def _jacobi_state(scale, t, p: float, q: float, n: int, alpha: float, beta: float):
+    """scale (1-t)^p (1+t)^q P_n^(alpha,beta)(t), multiplied left to right:
+    each closed-form state of weight-times-Jacobi (Scarf I) form."""
+    pj = jacobi(JacobiParams(n, alpha, beta), t)
+    return scale * (1.0 - t) ** p * (1.0 + t) ** q * pj
 
 
 def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = False):
@@ -192,7 +193,7 @@ def constant_case_rspace_solution(qn: QuantumNumbers, r, allow_invalid: bool = F
     equation; this is the form whose differential-equation residual
     vanishes."""
     jp = _branch_or_regularized(qn.m, allow_invalid)
-    return _jacobi_profile(jp, qn.n, np.asarray(r, dtype=float), 0.0)
+    return _jacobi_state(1.0, np.asarray(r, dtype=float), jp.a, jp.b, qn.n, 2.0 * jp.a, 2.0 * jp.b)
 
 
 def constant_case_rspace_potential(m: int, r):
@@ -457,12 +458,10 @@ def energy_first_order_pdfv(params: CatenoidParams, lam: float, qn: QuantumNumbe
 
 def _pdfv_raw(params: CatenoidParams, scarf: ScarfParams, n: int, u, a_shift: float = 0.0):
     u = np.asarray(u, dtype=float)
-    A = scarf.A + a_shift
-    B = scarf.B
-    t = u / np.sqrt(params.R**2 + u * u)
-    pj = jacobi(JacobiParams(n, A - B - 0.5, A + B - 0.5), t)
+    A, B = scarf.A + a_shift, scarf.B
+    t = spin_connection(params, u)
     pref = np.sqrt(1.0 + u * u / params.R**2)
-    return pref * (1.0 - t) ** (0.5 * (A - B)) * (1.0 + t) ** (0.5 * (A + B)) * pj
+    return _jacobi_state(pref, t, 0.5 * (A - B), 0.5 * (A + B), n, A - B - 0.5, A + B - 0.5)
 
 
 def eigenfunction_pdfv(params: CatenoidParams, scarf: ScarfParams, qn: QuantumNumbers, u):

@@ -204,7 +204,9 @@ def cmd_wavefunction(args) -> int:
             if not args.allow_invalid:
                 raise ValueError(f"{level.reason}; rerun with --allow-invalid")
             validity_flags.append(level.reason)
-        vals = eigenfunction_constant_case(params, qn, u, allow_invalid=args.allow_invalid)
+        # 1 -+ t rounding to 0 under a negative power: an infinite norm, which trapezoid_norm refuses
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = eigenfunction_constant_case(params, qn, u, allow_invalid=args.allow_invalid)
         weight, weight_label = 1.0, "du"
     vals = vals / trapezoid_norm(vals, u, weight)
     density = vals**2

@@ -450,9 +450,9 @@ REJECTED_INPUTS = [
     ["wavefunction", "--m", "3", "--n", "0", "--samples", str(2**50)],
     ["report-figures", "--allow-invalid", "--samples", str(2**50)],
     # profiles whose norm on the u range is infinite, where 1 + t rounds to 0
-    # under a negative power (numpy warns of the division by zero): dividing
-    # by that norm would write each finite cell as 0
-    *(pytest.param(argv, marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")) for argv in [
+    # under a negative power: dividing by that norm would write each finite
+    # cell as 0, and the refusal must not come as a warning first
+    *(pytest.param(argv, marks=pytest.mark.filterwarnings("error::RuntimeWarning")) for argv in [
         ["wavefunction", "--m", "3", "--n", "1", "--R", "1e-9"],
         ["wavefunction", "--m", "3", "--n", "0", "--umin=-1e9", "--umax=10"],
     ]),
@@ -582,10 +582,12 @@ def test_kernel_matches_percent_g_next_to_every_power_of_ten():
     _assert_kernel_matches_percent_g(_with_neighbours([float(f"1e{k}") for k in range(-308, 309)], 1))
 
 
-def test_kernel_powers_of_ten_hold_about_106_bits():
-    for e, (hi, lo) in zip(range(E_MIN, E_MAX + 1), _csv_rows._powers().tolist()):
+def test_kernel_powers_of_ten_are_correctly_rounded_pairs():
+    rows = _csv_rows._powers().tolist()
+    assert len(rows) == E_MAX + 1 - E_MIN
+    for e, (hi, lo) in zip(range(E_MIN, E_MAX + 1), rows):
         exact = Fraction(10) ** (16 - e)
-        assert abs(Fraction(hi) + Fraction(lo) - exact) < 2.0**-102 * exact
+        assert (hi, lo) == (float(exact), float(exact - Fraction(hi))), e
 
 
 # the cells of the export workload's tables (100001 rows) that the kernel
