@@ -1,23 +1,18 @@
 """LAPACK's symmetric tridiagonal bisection through ctypes.
 
 The routines ``dstebz`` and ``dlaebz`` (Sturm-sequence bisection) of the
-LAPACK that scipy's compiled extension ``scipy/linalg/_flapack`` links,
-opened without importing any scipy module, and ``lowest_levels``, which
-splits the bisection tree of one ``dstebz`` call in two, bisects one half
-on each of two threads (``numeric._map_on_two_threads``) and returns that
-call's levels bit for bit.  Every ``dlaebz`` call goes through
-``_Dlaebz.run``, on an object that one thread makes and alone calls.
-``numeric`` imports this module on its first eigensolve, so importing the
-package compiles and opens none of it.
+LAPACK that numpy links, and ``lowest_levels``, which splits the bisection
+tree of one ``dstebz`` call in two, bisects one half on each of two threads
+(``numeric._map_on_two_threads``) and returns that call's levels bit for
+bit.  Every ``dlaebz`` call goes through ``_Dlaebz.run``, on an object that
+one thread makes and alone calls.  ``numeric`` imports this module on its
+first eigensolve, so importing the package compiles and opens none of it.
 """
 
 from __future__ import annotations
 
 import ctypes
-import importlib.machinery
-import importlib.util
 import math
-import os
 from functools import cache
 from types import SimpleNamespace
 from typing import Optional
@@ -40,67 +35,53 @@ def lowest_levels(d, e, k: int) -> np.ndarray:
 # the routines used, with their argument counts; each CHARACTER argument adds
 # a hidden length argument at the end of the gfortran calling convention
 _ROUTINES = {"dstebz": (18, 2), "dlaebz": (20, 0)}
+# their spellings, each with its Fortran integer: numpy's wheels
+# (scipy-openblas64), an ILP64 and an LP64 system LAPACK
+_SPELLINGS = (("scipy_{}_64_", ctypes.c_int64), ("{}_64_", ctypes.c_int64), ("{}_", ctypes.c_int32))
 
 
 @cache
 def handle() -> SimpleNamespace:
-    """``dstebz`` and ``dlaebz`` of the LAPACK that scipy's
-    compiled extension ``scipy/linalg/_flapack`` links, as ctypes functions.
+    """``dstebz`` and ``dlaebz`` of the LAPACK that numpy links, as ctypes
+    functions, and ``c_int``, the ctypes type of their integers.
 
-    The extension's file is opened with ``ctypes.CDLL``, which runs none of
-    its Python initialization, and each routine is looked up through the
-    libraries it depends on: a scipy wheel's LAPACK spells ``dstebz`` as
-    ``scipy_dstebz_``, a system LAPACK as ``dstebz_``.  No scipy module is
-    imported, and a later ``import scipy.linalg`` initializes the extension
-    as usual.  A ctypes call releases the interpreter lock, so two threads
-    can bisect at once.  The handle is opened once per process.
+    ``import numpy`` has mapped numpy's extension ``numpy.linalg._umath_linalg``
+    and the LAPACK it links, so ``ctypes.CDLL`` on that file opens nothing
+    new, and each routine is looked up through the libraries it depends on.
+    A ctypes call releases the interpreter lock, so two threads can bisect
+    at once.  The handle is opened once per process.
     """
-    scipy_spec = importlib.util.find_spec("scipy")
-    if scipy_spec is None:
-        raise ImportError("the eigensolver needs scipy, which is not installed")
-    folder = os.path.join(os.path.dirname(scipy_spec.origin), "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(folder, "_flapack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"scipy {_scipy_version()} has no compiled extension _flapack in {folder}")
+    path = np.linalg._umath_linalg.__file__
     library = ctypes.CDLL(path)
-    for prefix in ("scipy_", ""):
+    for spelling, c_int in _SPELLINGS:
         try:
-            found = {name: getattr(library, f"{prefix}{name}_") for name in _ROUTINES}
+            found = {name: getattr(library, spelling.format(name)) for name in _ROUTINES}
         except AttributeError:
             continue
         for name, routine in found.items():
             count, lengths = _ROUTINES[name]
             routine.argtypes = [ctypes.c_void_p] * count + [ctypes.c_size_t] * lengths
             routine.restype = None
-        return SimpleNamespace(**found)
-    raise ImportError(
-        f"scipy {_scipy_version()}: the LAPACK that {path} links exports neither "
-        "scipy_dstebz_ nor dstebz_ (with dlaebz)"
-    )
-
-
-def _scipy_version() -> str:
-    from importlib.metadata import version
-
-    return version("scipy")
+        return SimpleNamespace(**found, c_int=c_int)
+    spellings = ", ".join(spelling.format("dstebz") for spelling, _ in _SPELLINGS)
+    raise ImportError(f"numpy {np.__version__}: the LAPACK that {path} links exports none of {spellings} "
+                      "(with dlaebz)")
 
 
 def dstebz(d, e, k: int) -> np.ndarray:
     """Levels 1..k, ascending, of contiguous float arrays (d, e) from LAPACK
     dstebz in index mode with tolerance 0.  A nonzero info raises
     LinAlgError."""
-    n, byref, c_int, c_double = len(d), ctypes.byref, ctypes.c_int, ctypes.c_double
+    lapack, n, byref, c_double = handle(), len(d), ctypes.byref, ctypes.c_double
+    c_int = lapack.c_int
     m, nsplit, info = c_int(), c_int(), c_int()
     w = np.empty(n)
     # RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO
     # and the lengths of RANGE and ORDER; an array's ctypes object passes (and holds) its address
-    handle().dstebz(b"I", b"E", byref(c_int(n)), byref(c_double(0.0)), byref(c_double(1.0)), byref(c_int(1)),
-                    byref(c_int(int(k))), byref(c_double(0.0)), d.ctypes, e.ctypes, byref(m), byref(nsplit),
-                    w.ctypes, np.empty(n, np.int32).ctypes, np.empty(n, np.int32).ctypes, np.empty(4 * n).ctypes,
-                    np.empty(3 * n, np.int32).ctypes, byref(info), 1, 1)
+    lapack.dstebz(b"I", b"E", byref(c_int(n)), byref(c_double(0.0)), byref(c_double(1.0)), byref(c_int(1)),
+                  byref(c_int(int(k))), byref(c_double(0.0)), d.ctypes, e.ctypes, byref(m), byref(nsplit),
+                  w.ctypes, np.empty(n, c_int).ctypes, np.empty(n, c_int).ctypes, np.empty(4 * n).ctypes,
+                  np.empty(3 * n, c_int).ctypes, byref(info), 1, 1)
     if info.value != 0:
         raise np.linalg.LinAlgError(f"LAPACK dstebz failed with info = {info.value}")
     return w[: m.value].copy()
@@ -158,7 +139,7 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     if not (math.isfinite(gl) and math.isfinite(gu)):
         return None
     # the calling thread's dlaebz, with room for one split of one interval
-    dlaebz = _Dlaebz(handle().dlaebz, d, e, e2, pivmin, 2)
+    dlaebz = _Dlaebz(handle(), d, e, e2, pivmin, 2)
     wu = _upper_end(dlaebz, k, gl, gu, tnorm)
     if wu is None or not low < min(gu, wu):
         return None
@@ -187,7 +168,7 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
     # one call; one left unconverged sends the solve to that call.  Each
     # thread has a dlaebz of its own, with room for every level of its half
     def bisect_half(half):
-        own = _Dlaebz(dlaebz.routine, d, e, e2, pivmin, sum(nb - na for _, _, na, nb in half))
+        own = _Dlaebz(dlaebz.lapack, d, e, e2, pivmin, sum(nb - na for _, _, na, nb in half))
         return _write_converged(*own.run(2, itmax - steps, atoli, half), levels)
 
     outs = _map_on_two_threads(bisect_half, [half for half in halves if half])
@@ -250,21 +231,21 @@ class _Dlaebz:
     own, whose addresses are taken once, so that a call costs a few
     microseconds of Python, not the tens of converting every argument."""
 
-    def __init__(self, routine, d, e, e2, pivmin: float, mmax: int):
-        self.routine, self.n, self.pivmin = routine, len(d), pivmin
+    def __init__(self, lapack: SimpleNamespace, d, e, e2, pivmin: float, mmax: int):
+        self.lapack, self.n, self.pivmin = lapack, len(d), pivmin
         # ints: IJOB, NITMAX, N, MMAX, MINP, NBMIN, MOUT, INFO, NVAL(MMAX),
         # NAB(MMAX, 2), IWORK(MMAX); reals: ABSTOL, RELTOL, PIVMIN, C(MMAX),
         # AB(MMAX, 2), WORK(MMAX).  NBMIN is 0, as in dstebz (whose block
         # size for dlaebz is 1, which it passes as 0).  AB and NAB are
         # column-major, so row c of the (2, MMAX) views is column c + 1
-        self.ints, self.reals = np.zeros(8 + 4 * mmax, np.int32), np.zeros(3 + 4 * mmax)
+        self.ints, self.reals = np.zeros(8 + 4 * mmax, lapack.c_int), np.zeros(3 + 4 * mmax)
         self.ints[2:4], self.reals[1:3] = (self.n, mmax), (_RTOLI, pivmin)
         self.nab = self.ints[8 + mmax:8 + 3 * mmax].reshape(2, mmax)
         self.ab = self.reals[3 + mmax:3 + 3 * mmax].reshape(2, mmax)
-        i, r = self.ints.ctypes.data, self.reals.ctypes.data
-        self.args = (i, i + 4, i + 8, i + 12, i + 16, i + 20, r, r + 8, r + 16,
-                     d.ctypes.data, e.ctypes.data, e2.ctypes.data, i + 32, r + 24 + 8 * mmax, r + 24,
-                     i + 24, i + 32 + 4 * mmax, r + 24 + 24 * mmax, i + 32 + 12 * mmax, i + 28)
+        i, w, r = self.ints.ctypes.data, self.ints.itemsize, self.reals.ctypes.data
+        self.args = (i, i + w, i + 2 * w, i + 3 * w, i + 4 * w, i + 5 * w, r, r + 8, r + 16,
+                     d.ctypes.data, e.ctypes.data, e2.ctypes.data, i + 8 * w, r + 8 * (3 + mmax), r + 24,
+                     i + 6 * w, i + (8 + mmax) * w, r + 8 * (3 + 3 * mmax), i + (8 + 3 * mmax) * w, i + 7 * w)
         self.keep = (d, e, e2)  # the arrays whose addresses args holds
 
     def run(self, job: int, nitmax: int, abstol: float, intervals, nval: int = 0, start: float = 0.0):
@@ -277,7 +258,7 @@ class _Dlaebz:
         self.reals[0], self.reals[3] = abstol, start
         for j, (a, b, na, nb) in enumerate(intervals):
             ab[0, j], ab[1, j], nab[0, j], nab[1, j] = a, b, na, nb
-        self.routine(*self.args)
+        self.lapack.dlaebz(*self.args)
         mout = int(ints[6]) if job == 2 else minp
         return list(zip(*ab[:, :mout].tolist(), *nab[:, :mout].tolist())), int(ints[7])
 

@@ -261,18 +261,22 @@ def cmd_susy_check(args) -> int:
         W = partial(superpotential, params, args.m)
         dW = partial(superpotential_derivative, params, args.m)
         u = np.linspace(-10.0, 10.0, 1001)
-        v1, v2 = partner_potentials_from_W(W, u, dW)  # W^2 - W' and W^2 + W'
-        checks += [
-            _check("partner_identity_minus", float(np.max(np.abs(v1 - v_eff(params, args.m, u)))), 1e-12),
-            _check("partner_identity_plus", float(np.max(np.abs(v2 - v_eff(params, -args.m, u)))), 1e-12),
-        ]
+        # g^1.5 = (R^2 + u^2)^1.5 overflows at large R, where both sides of
+        # each identity lose alike their term m*u/g^1.5, below 10|m|/R^3
+        with np.errstate(over="ignore"):
+            v1, v2 = partner_potentials_from_W(W, u, dW)  # W^2 - W' and W^2 + W'
+            checks += [
+                _check("partner_identity_minus", float(np.max(np.abs(v1 - v_eff(params, args.m, u)))), 1e-12),
+                _check("partner_identity_plus", float(np.max(np.abs(v2 - v_eff(params, -args.m, u)))), 1e-12),
+            ]
 
         grid = Grid(-5.0, 5.0, 2001)
         chi0 = catenoid_ground_state(params, args.m, grid.points)
         dchi0 = catenoid_ground_state_derivative(params, args.m, grid.points)
         ann = apply_ladder(W, grid, LadderDirection.LOWERING, chi0, derivative=dchi0)
         checks.append(_check("zero_mode_annihilation", float(np.max(np.abs(ann))), 1e-8))
-        checks.append(_check("intertwining", check_intertwining(W, dW, grid, np.exp(-grid.points**2)), 1e-3))
+        with np.errstate(over="ignore"):  # dW's m*u/g^1.5 as above
+            checks.append(_check("intertwining", check_intertwining(W, dW, grid, np.exp(-grid.points**2)), 1e-3))
 
         # isospectral shift table on the exactly solvable Scarf pair of the
         # position-dependent-velocity problem
@@ -330,8 +334,11 @@ def cmd_report_figures(args) -> int:
         return cols
 
     header = ["u"] + [f"density_n{n}" for n in FIGURE_LEVELS]
-    flags = _write_csv(out, header, [u] + densities(FIGURE_M, True))
-    companion_flags = _write_csv(companion, header, [u] + densities(COMPANION_M, False))
+    # 1 -+ t rounding to 0 under a negative power: infinite cells, which _write_csv flags
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns, companion_columns = densities(FIGURE_M, True), densities(COMPANION_M, False)
+    flags = _write_csv(out, header, [u] + columns)
+    companion_flags = _write_csv(companion, header, [u] + companion_columns)
     trunc = {"domain": [args.umin, args.umax], "samples": args.samples,
              "regularization": "negative radicands replaced by absolute values"}
     _write_manifest(out, args, trunc, [f"validity caveat: {caveat}", *flags], m=FIGURE_M)

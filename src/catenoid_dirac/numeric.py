@@ -12,9 +12,8 @@ r, clipped by R_DELTA at its ends), ``scarf_levels`` (the Scarf coordinate
 x, clipped by X_DELTA at +-pi/2) and ``box_levels`` (u in [-10, 10]).
 
 The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
-``dlaebz``), called through ctypes from the LAPACK that scipy's compiled
-extension ``scipy/linalg/_flapack`` links (module ``_lapack``, imported on
-the first eigensolve); no scipy module is imported.  ``eigen_tridiagonal``
+``dlaebz``), called through ctypes from the LAPACK that numpy links
+(module ``_lapack``, imported on the first eigensolve).  ``eigen_tridiagonal``
 returns the levels of one ``dstebz`` call bit for bit, from two threads
 that each bisect one half of that call's bisection tree; the second thread
 pays only when a second core is free.  ``_map_on_two_threads`` starts

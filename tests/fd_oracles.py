@@ -50,8 +50,9 @@ def count_features(f: np.ndarray) -> tuple[int, int]:
 
 def eigenvectors(op: TridiagonalOperator, k: int) -> np.ndarray:
     """Eigenvectors of the lowest k levels of op as columns, from scipy's
-    eigh_tridiagonal: LAPACK stebz, whose levels eigen_tridiagonal gives bit
-    for bit, then stein for the vectors."""
+    eigh_tridiagonal: stebz of scipy's own LAPACK, whose levels are those
+    eigen_tridiagonal takes from numpy's, bit for bit, then stein for the
+    vectors."""
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(op.diagonal, op.offdiagonal, select="i", select_range=(0, k - 1))[1]

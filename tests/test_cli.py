@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +279,16 @@ class TestSusyCheck:
         assert report["failures"] == ["partner_identity_minus", "partner_identity_plus",
                                       "zero_mode_annihilation"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_large_R_passes_without_warning(self, tmp_path):
+        # (R^2 + u^2)^1.5 overflows in the partner identities and the
+        # intertwining check, where the m*u term it drops is below 1e-190
+        out = tmp_path / "susy.json"
+        assert main(["susy-check", "--R", "1e150", "--m", "3", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["value"] for c in checks[:3]] == [0.0, 0.0, 0.0]
+        assert checks[3]["name"] == "intertwining" and checks[3]["value"] < 1e-8
+
     def test_shift_table_skipped_at_nonpositive_quartic_root(self, tmp_path):
         out = tmp_path / "susy1.json"
         assert main(["susy-check", "--m", "0", "--R", "1", "--out", str(out)]) == 0
@@ -310,6 +321,23 @@ class TestReportFigures:
         assert Path(str(companion) + ".manifest.json").exists()
         mani = read_manifest(out)
         assert any("sqrt(-1)" in f for f in mani["validity_flags"])
+
+    def test_infinite_cells_flagged_without_warning(self, tmp_path):
+        # at R = 1e-9, 1 -+ t rounds to 0 under a negative power at the ends
+        # of the u range: the cells there are infinite and flagged, and the
+        # bytes are the same with every warning an error
+        argv = ["report-figures", "--allow-invalid", "--R", "1e-9", "--out"]
+        plain, strict = tmp_path / "plain", tmp_path / "strict"
+        for folder in (plain, strict):
+            folder.mkdir()
+        assert main(argv + [str(plain / "fig.csv")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + [str(strict / "fig.csv")]) == 0
+        names = sorted(path.name for path in plain.iterdir())
+        assert len(names) == 4 and names == sorted(path.name for path in strict.iterdir())
+        assert all((plain / name).read_bytes() == (strict / name).read_bytes() for name in names)
+        assert any("are not finite" in flag for flag in read_manifest(strict / "fig.csv")["validity_flags"])
 
     def test_companion_structure_matches_numeric(self, tmp_path):
         # density of level n at valid parameters carries n+1 humps
@@ -731,7 +759,7 @@ def test_import_leaves_out_scipy():
 
 
 # no command loads a scipy module; the id says whether the command
-# eigensolves, which imports catenoid_dirac._lapack and opens scipy's LAPACK
+# eigensolves, which imports catenoid_dirac._lapack and opens numpy's LAPACK
 # through ctypes
 
 

@@ -1,7 +1,8 @@
 import ctypes
-import importlib.machinery
+import importlib.util
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -166,8 +167,9 @@ def fresh_lapack():
 DSTEBZ_INFO, DLAEBZ_INFO, DLAEBZ_AB, DLAEBZ_NAB = 17, 19, 13, 16
 
 
-def _int_argument(arg) -> ctypes.c_int:
-    return arg._obj if hasattr(arg, "_obj") else ctypes.c_int.from_address(arg)
+def _int_argument(arg):
+    """The integer a routine received, as the handle's integer type."""
+    return arg._obj if hasattr(arg, "_obj") else _lapack.handle().c_int.from_address(arg)
 
 
 def _failing(name, fails):
@@ -184,33 +186,38 @@ def _failing(name, fails):
     return routine
 
 
+def _run_fresh(code: str, path_first: tuple = ()) -> list[str]:
+    """The lines that a fresh interpreter prints running code, with
+    path_first and then the package's source ahead of the inherited path."""
+    src = str(Path(numeric.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [*path_first, src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 class TestFlapack:
     def test_reuses_loaded_module(self, monkeypatch, fresh_lapack):
+        # the handle opens, once, the file of numpy's LAPACK extension, which
+        # import numpy has already mapped
         opened = []
         real = ctypes.CDLL
         monkeypatch.setattr(ctypes, "CDLL", lambda path: opened.append(path) or real(path))
         lapack = _lapack.handle()
         assert _lapack.handle() is lapack
-        assert len(opened) == 1 and os.path.basename(opened[0]).startswith("_flapack.")
+        assert opened == [np.linalg._umath_linalg.__file__]
 
-    def test_missing_extension_names_scipy_version(self, monkeypatch, fresh_lapack):
-        from importlib.metadata import version
-
-        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
-        with pytest.raises(ImportError, match=f"scipy {version('scipy')} has no compiled extension"):
-            _lapack.handle()
-
-    def test_missing_routines_name_scipy_version(self, monkeypatch, fresh_lapack):
-        from importlib.metadata import version
-
+    def test_missing_routines_name_numpy_version(self, monkeypatch, fresh_lapack):
         monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())
-        with pytest.raises(ImportError, match=rf"scipy {version('scipy')}: .* neither scipy_dstebz_ nor dstebz_"):
+        message = (rf"numpy {re.escape(np.__version__)}: the LAPACK that .*_umath_linalg.* links exports none of "
+                   r"scipy_dstebz_64_, dstebz_64_, dstebz_ \(with dlaebz\)")
+        with pytest.raises(ImportError, match=message):
             _lapack.handle()
 
-    def test_scipy_linalg_imported_after_eigensolve_works(self):
-        # the eigensolve opens scipy's LAPACK without importing any scipy
-        # module; scipy.linalg imported later initializes its extension as
-        # usual, and its eigh_tridiagonal gives the same levels
+    def test_scipy_lapack_imported_after_eigensolve_gives_the_same_levels(self):
+        # the eigensolve imports no scipy module; scipy.linalg imported
+        # later, with a LAPACK of its own, gives the same levels bit for bit
         code = (
             "import sys, numpy as np; from catenoid_dirac import numeric; "
             "op = numeric.TridiagonalOperator(2.0 + np.cos(np.arange(50.0)), np.full(49, -1.0)); "
@@ -219,15 +226,37 @@ class TestFlapack:
             "import scipy.linalg; "
             "ref = scipy.linalg.eigh_tridiagonal(op.diagonal, op.offdiagonal, eigvals_only=True, "
             "select='i', select_range=(0, 3)); "
-            "print(type(scipy.linalg._flapack).__name__, hasattr(scipy.linalg._flapack, 'dstebz'), "
-            "mine.tobytes() == ref.tobytes())"
+            "print(mine.tobytes() == ref.tobytes())"
         )
-        src = str(Path(numeric.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["[]", "module True True"]
+        assert _run_fresh(code) == ["[]", "True"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc/self/task and maps")
+    def test_first_eigensolve_maps_no_scipy_file_and_starts_no_thread(self):
+        # scipy's folder, as a prefix that also covers a wheel's scipy.libs
+        scipy_folder = os.path.realpath(os.path.dirname(importlib.util.find_spec("scipy").origin))
+        code = (
+            "import os, numpy as np; from catenoid_dirac import numeric; "
+            "before = len(os.listdir('/proc/self/task')); "
+            # k = n: one dstebz call, so no thread of the package's own
+            "op = numeric.TridiagonalOperator(2.0 + np.cos(np.arange(50.0)), np.full(49, -1.0)); "
+            "assert len(numeric.eigen_tridiagonal(op, 50).eigenvalues) == 50; "
+            "print(len(os.listdir('/proc/self/task')) - before); "
+            "mapped = {line.split(maxsplit=5)[-1].strip() for line in open('/proc/self/maps')}; "
+            f"print(sorted(path for path in mapped if path.startswith({scipy_folder!r})))"
+        )
+        assert _run_fresh(code) == ["0", "[]"]
+
+    def test_eigensolve_needs_no_scipy(self, tmp_path):
+        # with a scipy that fails to import first on the path, an
+        # eigensolving README command writes the bytes it writes here
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("raise ImportError('scipy is not installed')\n")
+        argv = ["spectrum", "--R", "1", "--m", "3", "--n", "4", "--mode", "both", "--out"]
+        code = ("import sys; from catenoid_dirac.cli import main; "
+                f"sys.exit(main({argv + [str(tmp_path / 'fresh.json')]!r}))")
+        _run_fresh(code, (str(tmp_path),))
+        assert cli.main(argv + [str(tmp_path / "here.json")]) == 0
+        assert (tmp_path / "fresh.json").read_bytes() == (tmp_path / "here.json").read_bytes()
 
     def test_lapack_error_raises(self, monkeypatch):
         # a dlaebz info the one dstebz call would not see sends the
