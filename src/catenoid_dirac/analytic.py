@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import CatenoidParams, spin_connection
 from .numeric import Grid, WavefunctionSamples
 from .potentials import ScarfVF, _check_x, _rspace_potential
-from .specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
+from .specfun import JacobiParams, _integer, hermite, jacobi, kummer_m, parabolic_cylinder_d
 
 __all__ = [
     "QuantumNumbers",
@@ -51,10 +51,8 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        if self.n < 0 or int(self.n) != self.n:
-            raise ValueError(f"principal number must be a non-negative integer, got {self.n}")
-        if int(self.m) != self.m:
-            raise ValueError(f"angular momentum must be an integer, got {self.m}")
+        object.__setattr__(self, "n", _integer(self.n, "principal number"))
+        object.__setattr__(self, "m", _integer(self.m, "angular momentum", -math.inf))
 
 
 @dataclass(frozen=True)
@@ -275,8 +273,10 @@ def energy_dependent_branch(
     it is P(f) = f^4 + (12n+6)f^3 + (4m^2-31)f^2 - 108m^2 = 0, whose
     coefficients change sign once: P has one positive root f*, and
     eps^2 = (8m^2 - 11 - f*^2)/12, which is positive for every integer
-    |m| >= 2.  A negative eps^2 (|m| <= 1, or a non-integer m) raises.
+    |m| >= 2.  A negative eps^2 (|m| <= 1, or m = 1.2) raises, as does an
+    n, the index of the D_n profile, that is not a non-negative integer.
     """
+    n = _integer(n, "level index")
     roots = np.roots([1.0, 12.0 * n + 6.0, 4.0 * m * m - 31.0, 0.0, -108.0 * m * m])
     f_star = roots[(roots.imag == 0.0) & (roots.real > 0.0)].real[0]
     root = (8.0 * m * m - 11.0 - f_star * f_star) / 12.0

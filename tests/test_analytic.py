@@ -36,7 +36,7 @@ from catenoid_dirac.analytic import ScarfParams
 from catenoid_dirac.geometry import CatenoidParams
 from catenoid_dirac.numeric import Grid, discretize, eigen_tridiagonal, first_derivative, second_derivative
 from catenoid_dirac.potentials import scarf_form_pdfv, transformed_partner_potential
-from catenoid_dirac.specfun import kummer_m, parabolic_cylinder_d
+from catenoid_dirac.specfun import JacobiParams, hermite, jacobi, kummer_m, parabolic_cylinder_d
 from fd_oracles import count_features, ode_residual
 
 R1 = CatenoidParams(1.0)
@@ -51,6 +51,42 @@ class TestQuantumNumbers:
     def test_rejects_non_integer_m(self):
         with pytest.raises(ValueError, match="angular momentum must be an integer"):
             QuantumNumbers(0, 2.5)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_nan_and_infinite_m(self, m):  # an infinity used to raise OverflowError
+        with pytest.raises(ValueError, match="angular momentum must be an integer"):
+            QuantumNumbers(1, m)
+
+    def test_integral_floats_are_stored_as_ints(self):
+        qn = QuantumNumbers(2.0, -3.0)
+        assert qn == QuantumNumbers(2, -3) and type(qn.n) is int and type(qn.m) is int
+
+
+_U = np.array([-2.0, 0.0, 1.5])
+_T = np.array([-0.5, 0.0, 0.7])
+# every entry point that takes a degree or a principal number n
+_AT_N = {
+    "eigenfunction_constant_case": lambda n: eigenfunction_constant_case(R1, QuantumNumbers(n, 3), _U),
+    "eigenfunction_pdfv": lambda n: eigenfunction_pdfv(
+        R1, scarf_params_physical(R1, 2, 1.0), QuantumNumbers(n, 2), _U),
+    "partner_eigenfunction_constant": lambda n: partner_eigenfunction_constant(R1, QuantumNumbers(n, 3), _U),
+    "constant_case_rspace_solution": lambda n: constant_case_rspace_solution(QuantumNumbers(n, 3), _T),
+    "energy_constant_case": lambda n: energy_constant_case(R1, 1.0, QuantumNumbers(n, 3)).value,
+    "energy_pdfv": lambda n: energy_pdfv(R1, scarf_params_physical(R1, 2, 1.0), QuantumNumbers(n, 2)).value,
+    "jacobi": lambda n: jacobi(JacobiParams(n, 0.5, 1.5), _T),
+    "hermite": lambda n: hermite(n, _U),
+}
+
+
+@pytest.mark.parametrize("call", _AT_N.values(), ids=_AT_N.keys())
+class TestIntegralN:
+    def test_integral_float_is_the_integer(self, call):  # raised TypeError in range()
+        assert np.array_equal(call(2.0), call(2))
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinities_rejected(self, call, n):  # raised OverflowError, or ValueError from int()
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            call(n)
 
 
 class TestJacobiBranchParams:
@@ -262,6 +298,11 @@ class TestEnergyDependentBranch:
             energy_dependent_branch(1, 0)
         with pytest.raises(ValueError):  # 8m^2 > 11, but the positive root of P gives eps^2 < 0
             energy_dependent_branch(1.2, 0)
+
+    @pytest.mark.parametrize("n", [-1, 1.5, math.nan, math.inf])
+    def test_level_index_must_be_a_non_negative_integer(self, n):  # n = -1 once gave eps^2 = 0.301
+        with pytest.raises(ValueError, match="level index must be a non-negative integer"):
+            energy_dependent_branch(3, n)
 
     def test_exact_level(self):
         # at (m, n) = (-2, 1), f = 3 solves P, so eps^2 = (32 - 11 - 9)/12 = 1

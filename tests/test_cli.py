@@ -729,16 +729,6 @@ class TestReproducibility:
             assert rebuilt == line
 
 
-def test_import_leaves_out_scipy_integrate():
-    src = str(Path(catenoid_dirac.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, catenoid_dirac.cli; print('scipy.integrate' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout.strip() == "False"
-
-
 # prints the sorted names of the loaded scipy modules, after the code before it ran
 SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
@@ -773,7 +763,7 @@ def test_import_leaves_out_scipy():
     (["susy-check", "--mode", "catenoid"], True),
     (["susy-check", "--mode", "harmonic"], True),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(bool(v)))
-def test_command_loads_scipy_only_to_eigensolve(tmp_path, argv, eigensolves):
+def test_no_command_loads_scipy(tmp_path, argv, eigensolves):
     code = (f"import sys; from catenoid_dirac.cli import main; "
             f"assert main({argv + ['--out', 'out']!r}) == 0; "
             f"lapack = sys.modules.get('catenoid_dirac._lapack'); "

@@ -197,7 +197,7 @@ def _run_fresh(code: str, path_first: tuple = ()) -> list[str]:
     return result.stdout.splitlines()
 
 
-class TestFlapack:
+class TestLapackHandle:
     def test_reuses_loaded_module(self, monkeypatch, fresh_lapack):
         # the handle opens, once, the file of numpy's LAPACK extension, which
         # import numpy has already mapped

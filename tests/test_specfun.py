@@ -13,9 +13,7 @@ from catenoid_dirac.specfun import (
     hermite,
     jacobi,
     kummer_m,
-    log_gamma,
     parabolic_cylinder_d,
-    reciprocal_gamma,
 )
 
 rng = np.random.default_rng(20260826)
@@ -176,32 +174,6 @@ class TestHermite:
                 )
 
 
-class TestLogGamma:
-    def test_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert abs(log_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
-        assert abs(log_gamma(5.0) - math.log(24.0)) < 1e-13
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-
-    @pytest.mark.parametrize("call, x", [
-        (log_gamma, math.nan),  # returned NaN
-        (log_gamma, -math.inf),
-        (reciprocal_gamma, math.nan),  # failed inside int()
-        (reciprocal_gamma, -math.inf),  # overflowed in int()
-    ], ids=["log_gamma_nan", "log_gamma_minus_inf", "reciprocal_gamma_nan", "reciprocal_gamma_minus_inf"])
-    def test_nan_and_minus_inf_rejected(self, call, x):
-        with pytest.raises(ValueError, match="requires a (positive|real) argument"):
-            call(x)
-
-    def test_reciprocal_gamma_poles(self):
-        assert reciprocal_gamma(0.0) == 0.0
-        assert reciprocal_gamma(-3.0) == 0.0
-        assert abs(reciprocal_gamma(0.5) - 1.0 / math.sqrt(math.pi)) < 1e-14
-
-
 # a Python int beyond the float range used to escape as OverflowError from
 # the float conversion
 @pytest.mark.parametrize("call, args", [
@@ -209,13 +181,9 @@ class TestLogGamma:
     (kummer_m, (1.0, 10**400, 1.0)),
     (kummer_m, (1.0, 1.5, 10**400)),
     (kummer_m, (1.0, 1.5, [0.5, 10**400])),
-    (log_gamma, (10**400,)),
-    (log_gamma, (1e306,)),  # ln Gamma itself overflows
-    (reciprocal_gamma, (10**400,)),
     (parabolic_cylinder_d, (1.0, 10**400)),
     (parabolic_cylinder_d, (1.0, [0.5, 10**400])),
-], ids=["kummer_a", "kummer_b", "kummer_scalar_z", "kummer_array_z", "log_gamma_int",
-        "log_gamma_float", "reciprocal_gamma", "pcf_scalar_z", "pcf_array_z"])
+], ids=["kummer_a", "kummer_b", "kummer_scalar_z", "kummer_array_z", "pcf_scalar_z", "pcf_array_z"])
 def test_beyond_float_range_raises_value_error(call, args):
     with pytest.raises(ValueError, match="float range|supported range"):
         call(*args)
@@ -380,9 +348,29 @@ def _hyp1f1(a, b, z):
     return mpmath.hyp1f1(a, b, z, zeroprec=400)
 
 
+def _kummer_bound(a, b, z):
+    """M(a, b, z) and the bound on the error of kummer_m(a, b, z) that
+    TestAgainstMpmath derives, at the working precision."""
+    terms, moduli = _kummer_summed(a, b, z)
+    cond = (abs(a * mpmath.diff(lambda p: _hyp1f1(p, b, z), a))
+            + abs(b * mpmath.diff(lambda p: _hyp1f1(a, p, z), b))
+            + abs(z * a / b * _hyp1f1(a + 1, b + 1, z)))
+    return _hyp1f1(a, b, z), 8 * (terms + 1) * U * (moduli + cond)
+
+
+@st.composite
+def _pcf_order_and_argument(draw):
+    """An order of the terminating Hermite form with |z| <= 20, or one of
+    the two-Kummer representation with |z| <= 6."""
+    if draw(st.booleans()):
+        return float(draw(st.integers(0, 20))), draw(st.floats(-20.0, 20.0))
+    nu = draw(st.floats(-20.0, 20.0).filter(lambda v: v < 0.0 or v != int(v)))
+    return nu, draw(st.floats(-6.0, 6.0))
+
+
 class TestAgainstMpmath:
-    """Property tests of jacobi, hermite and kummer_m over their whole
-    argument ranges, with mpmath at 40 digits as the oracle.
+    """Property tests of jacobi, hermite, kummer_m and parabolic_cylinder_d
+    over their whole argument ranges, with mpmath at 40 digits as the oracle.
 
     Each tolerance is a rounding-error bound, not a fit to today's output.
     A method that sums N terms or runs N recurrence steps, rounding at most
@@ -405,6 +393,22 @@ class TestAgainstMpmath:
       five times, plus one rounding of the partial sum and one of e^z
       (c = 8).  dM/dz = a/b M(a + 1, b + 1, z); the parameter derivatives
       are mpmath.diff of mpmath.hyp1f1.
+    - Parabolic cylinder: D_nu(z) = pre (c1 M1 - c2 z M2) with
+      pre = 2^(nu/2) e^(-z^2/4), c1 = sqrt(pi)/Gamma((1-nu)/2),
+      c2 = sqrt(2 pi)/Gamma(-nu/2), M1 = M(-nu/2, 1/2, z^2/2) and
+      M2 = M((1-nu)/2, 3/2, z^2/2) (DLMF 12.4.1, 12.2.6-7 and 12.7(iv)).
+      The reference is this sum at 40 digits with exact arguments, the
+      form that mpmath.pcfd's own source advises for small z: pcfd sums a
+      2F0 series for z < 0 that takes seconds at |nu| below 1e-100.  Each
+      M carries the Kummer bound B at the rounded arguments that kummer_m
+      receives, which also covers their rounding; 2^(nu/2), sqrt(pi),
+      sqrt(2 pi), Gamma and the products round a few times each, and the
+      rounding of z^2/4 is amplified z^2/4 times by the exponential:
+      (16 + |nu| + z^2) u relative on each term.  So the error is at most
+      pre (|c1| B1 + |c2 z| B2 + (16 + |nu| + z^2) u (|c1 M1| + |c2 z M2|)).
+      The bound grows with the cancellation of the two terms, which costs
+      non-integer orders most of their digits near |z| = 6 (ROADMAP item
+      4): it bounds that loss, it does not hide it.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -436,12 +440,8 @@ class TestAgainstMpmath:
     @staticmethod
     def _assert_kummer_close(a, b, z, got):
         with mpmath.workdps(40):
-            terms, moduli = _kummer_summed(a, b, z)
-            ref = _hyp1f1(a, b, z)
-            cond = (abs(a * mpmath.diff(lambda p: _hyp1f1(p, b, z), a))
-                    + abs(b * mpmath.diff(lambda p: _hyp1f1(a, p, z), b))
-                    + abs(z * a / b * _hyp1f1(a + 1, b + 1, z)))
-            assert abs(got - ref) <= 8 * (terms + 1) * U * (moduli + cond), (a, b, z)
+            ref, bound = _kummer_bound(a, b, z)
+            assert abs(got - ref) <= bound, (a, b, z)
 
     @settings(max_examples=150, deadline=None)
     @given(_kummer_ab(), st.floats(-50.0, 50.0))
@@ -455,3 +455,24 @@ class TestAgainstMpmath:
     def test_kummer_array(self, ab, z):
         for v, got in zip(z.tolist(), kummer_m(*ab, z).tolist()):
             self._assert_kummer_close(*ab, v, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_pcf_order_and_argument())
+    @example((18.99, 0.0))  # once 6.3 times this bound, from a hand-written 1/Gamma
+    @example((2.225073858507203e-309, 0.0))  # once OverflowError from Gamma(-nu/2)
+    def test_parabolic_cylinder_d(self, nu_z):
+        nu, z = nu_z
+        got = parabolic_cylinder_d(nu, z)
+        with mpmath.workdps(40):
+            v, t = mpmath.mpf(nu), mpmath.mpf(z)
+            pre = 2 ** (v / 2) * mpmath.exp(-t * t / 4)
+            c1 = mpmath.sqrt(mpmath.pi) * mpmath.rgamma((1 - v) / 2)
+            c2z = mpmath.sqrt(2 * mpmath.pi) * mpmath.rgamma(-v / 2) * t
+            ref = err = size = 0
+            for c, a, b, a_got in ((c1, -v / 2, 0.5, -nu / 2.0), (-c2z, (1 - v) / 2, 1.5, (1.0 - nu) / 2.0)):
+                if c:  # zero at a pole of Gamma, where parabolic_cylinder_d drops the term
+                    ref += c * _hyp1f1(a, b, t * t / 2)
+                    m, bound = _kummer_bound(a_got, b, z * z / 2.0)
+                    err, size = err + abs(c) * bound, size + abs(c * m)
+            bound = pre * (err + (16 + abs(v) + t * t) * U * size)
+            assert abs(got - pre * ref) <= bound, (nu, z)
