@@ -232,5 +232,5 @@ def parabolic_cylinder_d(nu: float, z):
     c1 = 0.0 if is_int and nu % 2.0 == 1.0 else math.sqrt(math.pi) / math.gamma((1.0 - nu) / 2.0)
     c2 = 0.0 if is_int and nu % 2.0 == 0.0 else math.sqrt(2.0 * math.pi) / math.gamma(-nu / 2.0)
     term1 = c1 * kummer_m(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0
-    term2 = c2 * z * kummer_m((1.0 - nu) / 2.0, 1.5, z * z / 2.0) if c2 != 0.0 else 0.0
-    return pre * (term1 - term2)
+    term2 = c2 * kummer_m((1.0 - nu) / 2.0, 1.5, z * z / 2.0) if c2 != 0.0 else 0.0
+    return pre * term1 - pre * term2 * z  # z last: a subnormal z scaled by c2 first loses digits

@@ -460,6 +460,7 @@ class TestAgainstMpmath:
     @given(_pcf_order_and_argument())
     @example((18.99, 0.0))  # once 6.3 times this bound, from a hand-written 1/Gamma
     @example((2.225073858507203e-309, 0.0))  # once OverflowError from Gamma(-nu/2)
+    @example((1.0, 2.225073858507e-311))  # once 1 subnormal ulp off, from rounding c2 z before pre
     def test_parabolic_cylinder_d(self, nu_z):
         nu, z = nu_z
         got = parabolic_cylinder_d(nu, z)
