@@ -19,7 +19,7 @@ from functools import cache
 
 import numpy as np
 
-CSV_UNIT_ROWS = 4096  # rows formatted at a time
+CSV_UNIT_CELLS = 20480  # cells formatted at a time: 4096 rows of 5 columns, 20480 of 1
 E_MIN, E_MAX = -281, 280  # floor(log10|x|) for |x| in [1e-280, 1e280], with log10's rounding
 TIE_MARGIN = 1e-6  # a fraction of y this close to 1/2 goes to Python's formatter
 WORD = np.dtype("<u8")  # 8 text bytes, the first the lowest, so that << 8 moves them one byte on

@@ -171,7 +171,7 @@ def _levels_from_split(d: np.ndarray, e: np.ndarray, k: int) -> Optional[np.ndar
         own = _Dlaebz(dlaebz.lapack, d, e, e2, pivmin, sum(nb - na for _, _, na, nb in half))
         return _write_converged(*own.run(2, itmax - steps, atoli, half), levels)
 
-    outs = _map_on_two_threads(bisect_half, [half for half in halves if half])
+    outs = list(_map_on_two_threads(bisect_half, [half for half in halves if half]))
     return levels if all(out == [] for out in outs) else None
 
 

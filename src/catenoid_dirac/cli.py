@@ -4,8 +4,9 @@ Every data file gets a JSON manifest sidecar at <out>.manifest.json with
 the tool version, the command, every parsed option but --out and --format,
 truncation metadata, and any validity flags raised during the run.  CSV
 uses 17 significant digits so files round-trip bit-exactly; ``_csv_rows``
-formats them in bulk with numpy, CSV_UNIT_ROWS rows at a time, two chunks
-at once on the calling thread and a helper thread.
+formats them in bulk with numpy, in chunks of about CSV_UNIT_CELLS cells,
+which the calling thread and one helper thread format in turn while the
+calling thread writes each as soon as it is next in the file.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ import argparse
 import json
 import math
 import sys
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._csv_rows import CSV_UNIT_ROWS, csv_text
+from ._csv_rows import CSV_UNIT_CELLS, csv_text
 from .analytic import (
     QuantumNumbers,
     constant_case_rspace_potential,
@@ -66,23 +68,38 @@ ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list[str]:
     """Header line, then one "%.17g" row per sample, comma-separated: the
-    same bytes as np.savetxt.  ``csv_text`` formats CSV_UNIT_ROWS rows at a
-    time, two such chunks at once, the second on a helper thread, and the
-    pair is written before the next is formatted; a table of one chunk
-    starts no thread.  Returns one validity flag per column with non-finite
-    cells, naming its count and the first value of the first column (u) at
-    which one occurs.
+    same bytes as np.savetxt.  ``csv_text`` formats CSV_UNIT_CELLS //
+    len(columns) rows at a time, each chunk stacked from the column slices
+    by the thread that formats it: the chunks at even places on the calling
+    thread, those at odd places on one helper thread
+    (``numeric._map_on_two_threads``), and the calling thread writes each
+    as soon as it is next.  A table of one chunk starts no thread.  If
+    formatting or writing raises, the file is deleted.  Returns one
+    validity flag per column with non-finite cells, naming its count and
+    the first value of the first column (u) at which one occurs.
     """
-    table = np.column_stack(columns).astype(float, copy=False)
-    chunks = [table[start:start + CSV_UNIT_ROWS] for start in range(0, len(table), CSV_UNIT_ROWS)]
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for pair in range(0, len(chunks), 2):
-            fh.writelines(_map_on_two_threads(csv_text, chunks[pair:pair + 2]))
-    bad = ~np.isfinite(table)
-    return [f"{name}: {count} of {len(table)} cells are not finite, the first at u = "
-            f"{table[col.argmax(), 0]:g}"
-            for name, col, count in zip(header, bad.T, bad.sum(axis=0)) if count]
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    u, rows = columns[0], max(1, CSV_UNIT_CELLS // len(columns))
+
+    def chunk_text(start):
+        return csv_text(np.column_stack([col[start:start + rows] for col in columns]))
+
+    # glibc maps each block above its mmap threshold afresh, and freeing a
+    # mapped block raises that threshold to its size and the heap's trim
+    # threshold to twice it: one untouched 4 MB block, freed here, keeps each
+    # chunk's temporaries in the heap (else ~15k page faults per 100001 x 5 table)
+    np.empty(1 << 22, np.uint8)
+    fh = open(path, "wb")  # a file that could not be opened is left as it was
+    try:
+        with fh, closing(_map_on_two_threads(chunk_text, range(0, len(u), rows))) as texts:
+            fh.write((",".join(header) + "\n").encode())
+            fh.writelines(texts)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+    bad = [~np.isfinite(col) for col in columns]
+    return [f"{name}: {col.sum()} of {len(u)} cells are not finite, the first at u = {u[col.argmax()]:g}"
+            for name, col in zip(header, bad) if col.any()]
 
 
 def _write_json(path: Path, payload: dict) -> None:

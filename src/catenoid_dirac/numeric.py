@@ -17,15 +17,18 @@ The eigensolver is LAPACK's Sturm-sequence bisection (``dstebz``, with
 returns the levels of one ``dstebz`` call bit for bit, from two threads
 that each bisect one half of that call's bisection tree; the second thread
 pays only when a second core is free.  ``_map_on_two_threads`` starts
-every thread of the package: the eigensolver's and the CSV writer's.
+every thread of the package: an ordered stream of results, worked in turn
+on the calling thread and on one helper thread, which the eigensolver
+reads for its two halves and the CSV writer for its chunks.
 """
 
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -217,27 +220,42 @@ def trapezoid_norm(values, u, weight=1.0) -> float:
     return norm
 
 
-def _map_on_two_threads(work: Callable, items: list) -> list:
-    """[work(item) for item in items], for at most two items, the first on
-    this thread and the second on a new one at once; the new thread is
-    joined before this returns or raises, and what it raised is raised
-    here."""
+def _map_on_two_threads(work: Callable, items: Sequence) -> Iterator:
+    """Yields work(item) for each item, in order.  The items at even places
+    are worked on the calling thread as the stream is read; those at odd
+    places on one helper thread, started at the first read, which hands
+    each result over through a one-slot queue and starts its next item at
+    once.  What the helper raised is raised here in its item's place.
+    Whether the stream ends, raises or is closed early, the helper is
+    joined first, after its item in hand at most."""
     if len(items) < 2:
-        return [work(item) for item in items]
-    results = []
+        yield from map(work, items)
+        return
+    handoff, stop = queue.Queue(maxsize=1), threading.Event()
 
     def run():
-        try:
-            results.append(work(items[1]))
-        except Exception as exc:  # raised again on the calling thread
-            results.append(exc)
+        for item in items[1::2]:
+            try:
+                handoff.put(work(item))
+            except BaseException as exc:  # raised again on the calling thread
+                handoff.put(exc)
+                return
+            if stop.is_set():
+                return
+
+    def take():
+        result = handoff.get()
+        if isinstance(result, BaseException):
+            raise result
+        return result
 
     thread = threading.Thread(target=run)
     thread.start()
-    try:
-        first = work(items[0])
+    try:  # no local keeps a result that was read while the next is worked
+        for place, item in enumerate(items):
+            yield take() if place % 2 else work(item)
     finally:
+        stop.set()
+        if handoff.full():  # the helper puts at most once more, then sees stop
+            handoff.get()
         thread.join()
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return [first, results[0]]

@@ -1,3 +1,5 @@
+import errno
+import itertools
 import json
 import math
 import os
@@ -15,10 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catenoid_dirac
-from catenoid_dirac import _csv_rows, cli
-from catenoid_dirac._csv_rows import E_MAX, E_MIN, csv_text
+from catenoid_dirac import _csv_rows, cli, numeric
+from catenoid_dirac._csv_rows import CSV_UNIT_CELLS, E_MAX, E_MIN, csv_text
 from catenoid_dirac.cli import (
-    CSV_UNIT_ROWS,
     _check_inputs,
     _write_csv,
     build_parser,
@@ -525,19 +526,22 @@ CSV_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-3
               1.7976931348623157e308, 3.0, 0.1, -1e-5]
 
 
-# one row either side of, and at, k chunks: k = 1 is the calling thread
+# one row either side of, and at, k chunks of CSV_UNIT_CELLS // ncols rows
+# (20480, 6826 and 4096 at 1, 3 and 5 columns): k = 1 is the calling thread
 # alone, 2 ends on the helper's chunk, 3 on the calling thread's after a
-# helper's, 4 on the helper's second; 20001 rows is off every boundary
-@pytest.mark.parametrize("ncols", [1, 3, 5])
-@pytest.mark.parametrize("rows", [1, 2, *(k * CSV_UNIT_ROWS + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)),
-                                  20001, 100001])
+# helper's, 4 on the helper's second; the multiples of 4096 rows are off
+# those boundaries at 1 and 3 columns, and 20001 rows is off every one
+@pytest.mark.parametrize("rows, ncols", [
+    (rows, ncols) for ncols in (1, 3, 5)
+    for rows in sorted({1, 2, 20001, 100001, *(k * unit + d for k in (1, 2, 3, 4) for d in (-1, 0, 1)
+                                               for unit in (4096, CSV_UNIT_CELLS // ncols))})])
 def test_write_csv_matches_savetxt(tmp_path, rows, ncols):
     rng = np.random.default_rng(rows * 10 + ncols)
     flat = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-300, 300, rows * ncols)
     flat[::3] = np.resize(CSV_VALUES, flat[::3].size)
-    # every special value lands in every CSV_UNIT_ROWS chunk with room for
-    # them all, so the calling thread and the helper thread each format them
-    step = CSV_UNIT_ROWS * ncols
+    # every special value lands in every chunk with room for them all, so
+    # the calling thread and the helper thread each format them
+    step = CSV_UNIT_CELLS // ncols * ncols
     for unit in (flat[start:start + step] for start in range(0, flat.size, step)):
         if unit.size >= 3 * len(CSV_VALUES):
             assert {repr(v) for v in unit.tolist()} >= {repr(v) for v in CSV_VALUES}
@@ -661,14 +665,78 @@ def test_write_csv_raises_what_the_helper_thread_raised(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "csv_text", helper_fails)
     before = set(threading.enumerate())
     with pytest.raises(ArithmeticError, match="helper thread"):
-        _write_csv(tmp_path / "out.csv", ["u"], [np.arange(4.0 * CSV_UNIT_ROWS)])
+        _write_csv(tmp_path / "out.csv", ["u"], [np.arange(4.0 * CSV_UNIT_CELLS)])
     assert set(threading.enumerate()) == before
 
 
+# a table of one chunk, CSV_UNIT_CELLS // ncols rows, starts no thread, and
+# a table of more rows one helper thread for the whole file
+@pytest.mark.parametrize("ncols", [1, 3, 5])
+def test_write_csv_starts_at_most_one_thread_per_file(tmp_path, monkeypatch, ncols):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(numeric.threading, "Thread", Counted)
+    unit = CSV_UNIT_CELLS // ncols
+    for rows, threads in [(unit, 0), (unit + 1, 1), (100001, 1)]:
+        started.clear()
+        _write_csv(tmp_path / "out.csv", [f"c{j}" for j in range(ncols)], [np.arange(float(rows))] * ncols)
+        assert len(started) == threads
+
+
+class _FullDisk:
+    """A binary file whose fifth chunk of text finds the disk full."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        return self.fh.write(data)
+
+    def writelines(self, texts):
+        for count, text in enumerate(texts, 1):
+            if count == 5:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            self.fh.write(text)
+
+
+# an exit of 1 leaves no data file: formatting or writing the fifth chunk of
+# a 100001-row export fails with the disk full, after four are written
+@pytest.mark.parametrize("fails", ["formatting", "writing"])
+def test_write_csv_leaves_no_partial_file_on_failure(tmp_path, monkeypatch, capsys, fails):
+    if fails == "formatting":
+        calls = itertools.count(1)
+
+        def disk_full_on_fifth(rows):
+            if next(calls) == 5:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return csv_text(rows)
+
+        monkeypatch.setattr(cli, "csv_text", disk_full_on_fifth)
+    else:
+        monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
+    out = tmp_path / "part.csv"
+    before = set(threading.enumerate())
+    assert main(["potentials", "--samples", "100001", "--out", str(out)]) == 1
+    assert set(threading.enumerate()) == before
+    assert capsys.readouterr().err.startswith("error: [Errno 28]")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_csv_loads_no_executor_and_leaves_no_thread(tmp_path):
-    # a 100001-row export formats its 25 chunks in pairs, the second of each
-    # on a helper thread that is joined before the pair is written; no
-    # executor module is loaded
+    # a 100001-row export of 5 columns streams its 25 chunks, those at odd
+    # places from one helper thread, which is joined before the file is
+    # closed; no executor module is loaded
     argv = ["potentials", "--R", "1.5", "--m", "-2", "--lambda", "0.8", "--samples", "100001", "--out", "out.csv"]
     code = (f"import sys, threading; from catenoid_dirac.cli import main; assert main({argv!r}) == 0; "
             "print('concurrent.futures' in sys.modules, threading.active_count())")

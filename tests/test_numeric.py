@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -340,6 +341,82 @@ class TestNormalize:
         values[50] = bad
         with pytest.raises(ValueError, match=f"norm on the grid is {bad}"):
             trapezoid_norm(values, g.points)
+
+
+class TestTwoThreadStream:
+    """numeric._map_on_two_threads yields work(item) in order: the calling
+    thread works the items at even places, one helper thread those at odd
+    places.  Each test checks that no thread is left behind."""
+
+    # tables of 1 to 5 chunks of 4 rows, and one whose last chunk is one
+    # row; the items take 0-2 ms in turn, so either thread can run ahead
+    @pytest.mark.parametrize("rows", [4, 8, 12, 16, 20, 17])
+    def test_keeps_chunk_order(self, rows):
+        table, on_calling = np.arange(rows), {}
+
+        def work(start):
+            on_calling[start] = threading.current_thread() is threading.main_thread()
+            time.sleep(0.001 * (start // 4 % 3))
+            return table[start:start + 4]
+
+        before = set(threading.enumerate())
+        chunks = list(numeric._map_on_two_threads(work, range(0, rows, 4)))
+        assert set(threading.enumerate()) == before
+        assert np.concatenate(chunks).tolist() == table.tolist()
+        assert [on_calling[start] for start in range(0, rows, 4)] == [p % 2 == 0 for p in range(len(chunks))]
+
+    def test_calling_thread_raises_while_the_helper_waits_on_a_full_handoff(self):
+        # the helper finishes places 1 and 3 while the calling thread is on
+        # place 0: place 1 fills the one slot and the helper blocks handing
+        # over place 3; the calling thread then raises, never reading either
+        third_done, worked = threading.Event(), []
+
+        def work(place):
+            if threading.current_thread() is threading.main_thread():
+                assert third_done.wait(timeout=60)
+                time.sleep(0.05)  # the helper reaches its blocked hand-off
+                raise ArithmeticError("formatting failed on the calling thread")
+            worked.append(place)
+            if place == 3:
+                third_done.set()
+            return place
+
+        before = set(threading.enumerate())
+        with pytest.raises(ArithmeticError, match="calling thread"):
+            list(numeric._map_on_two_threads(work, range(8)))
+        assert set(threading.enumerate()) == before
+        assert worked == [1, 3]
+
+    def test_raises_what_the_helper_raised_in_its_place(self):
+        # a BaseException too: a helper that ended without handing one over
+        # would leave the calling thread waiting on the slot for good
+        def work(place):
+            if place == 3:
+                raise SystemExit("the helper stopped")
+            return place
+
+        before = set(threading.enumerate())
+        stream = numeric._map_on_two_threads(work, range(8))
+        assert [next(stream), next(stream), next(stream)] == [0, 1, 2]
+        with pytest.raises(SystemExit, match="helper stopped"):
+            next(stream)
+        assert set(threading.enumerate()) == before
+
+    def test_closing_the_stream_early_joins_the_helper(self):
+        worked = []
+
+        def work(place):
+            worked.append(place)
+            return place
+
+        before = set(threading.enumerate())
+        stream = numeric._map_on_two_threads(work, range(100))
+        assert [next(stream), next(stream), next(stream)] == [0, 1, 2]
+        stream.close()
+        assert set(threading.enumerate()) == before
+        # past what was read, the helper holds place 3 in the slot and
+        # place 5 in hand at most
+        assert set(worked) <= {0, 1, 2, 3, 5}
 
 
 class TestCountFeatures:
