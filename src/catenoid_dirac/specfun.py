@@ -228,7 +228,10 @@ def parabolic_cylinder_d(nu: float, z):
         z = math.inf
     if not (abs(z) <= z_max if scalar else np.all(np.abs(z) <= z_max)):
         raise ValueError(f"argument out of supported range |z| <= {z_max} for nu={nu}")
-    pre = 2.0 ** (nu / 2.0) * (math.exp if scalar else np.exp)(-z * z / 4.0)
+    exp = math.exp if scalar else np.exp
+    if not (scalar or is_int):  # the two terms cancel, so an ulp of np.exp against math.exp grows
+        exp = np.vectorize(math.exp, otypes=[float])  # into the digits an array z and a float z share
+    pre = 2.0 ** (nu / 2.0) * exp(-z * z / 4.0)
     c1 = 0.0 if is_int and nu % 2.0 == 1.0 else math.sqrt(math.pi) / math.gamma((1.0 - nu) / 2.0)
     c2 = 0.0 if is_int and nu % 2.0 == 0.0 else math.sqrt(2.0 * math.pi) / math.gamma(-nu / 2.0)
     term1 = c1 * kummer_m(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0
