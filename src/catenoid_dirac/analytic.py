@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CatenoidParams, spin_connection
+from .geometry import CatenoidParams, radius, spin_connection
 from .numeric import Grid, WavefunctionSamples
 from .potentials import ScarfVF, _check_x, _rspace_potential
 from .specfun import JacobiParams, _integer, hermite, jacobi, kummer_m, parabolic_cylinder_d
@@ -528,7 +528,7 @@ def partner_eigenfunction_constant(params: CatenoidParams, qn: QuantumNumbers, u
     jp = jacobi_branch_params(qn.m)
     al, be, p, q = 2.0 * jp.a, 2.0 * jp.b, jp.a - 1.0, jp.b - 1.0
     u = np.asarray(u, dtype=float)
-    root = np.sqrt(params.R**2 + u * u)
+    root = radius(params, u)
     t, one_t2 = u / root, (params.R / root) ** 2  # 1 - t^2 without cancellation
     pj = jacobi(JacobiParams(qn.n + 1, al, be), t)
     dpj = 0.5 * (qn.n + al + be + 2.0) * jacobi(JacobiParams(qn.n, al + 1.0, be + 1.0), t)

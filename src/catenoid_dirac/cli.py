@@ -6,7 +6,8 @@ truncation metadata, and any validity flags raised during the run.  CSV
 uses 17 significant digits so files round-trip bit-exactly; ``_csv_rows``
 formats them in bulk with numpy, in chunks of about CSV_UNIT_CELLS cells,
 which the calling thread and one helper thread format in turn while the
-calling thread writes each as soon as it is next in the file.
+calling thread writes each as soon as it is next in the file.  Each
+command imports the modules it runs, so a cold command loads only those.
 """
 
 from __future__ import annotations
@@ -22,46 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._csv_rows import CSV_UNIT_CELLS, csv_text
-from .analytic import (
-    QuantumNumbers,
-    constant_case_rspace_potential,
-    eigenfunction_constant_case,
-    energy_constant_case,
-    energy_pdfv,
-    eigenfunction_pdfv,
-    scarf_endpoint_kappa,
-    scarf_params_physical,
-)
-from .geometry import CatenoidParams
-from .numeric import (
-    SPECTRUM_POINTS,
-    X_DELTA,
-    Grid,
-    _map_on_two_threads,
-    box_levels,
-    compact_levels,
-    scarf_levels,
-    trapezoid_norm,
-)
-from .potentials import (
-    ConstantVF,
-    ScarfVF,
-    fermi_velocity,
-    partner_potentials_from_W,
-    scarf_form_pdfv,
-    superpotential,
-    superpotential_derivative,
-    u_eff,
-    v_eff,
-)
-from .susy import (
-    LadderDirection,
-    apply_ladder,
-    catenoid_ground_state,
-    catenoid_ground_state_derivative,
-    check_intertwining,
-)
+from .geometry import CatenoidParams, metric_coefficient
+from .potentials import ConstantVF, ScarfVF, fermi_velocity
 
 ANALYTIC_N_MAX = 10**6  # largest spectrum --mode analytic --n, which writes one record per level
 
@@ -78,6 +41,9 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> list
     validity flag per column with non-finite cells, naming its count and
     the first value of the first column (u) at which one occurs.
     """
+    from ._csv_rows import CSV_UNIT_CELLS, csv_text
+    from .numeric import _map_on_two_threads
+
     columns = [np.asarray(col, dtype=float) for col in columns]
     u, rows = columns[0], max(1, CSV_UNIT_CELLS // len(columns))
 
@@ -126,6 +92,8 @@ def _write_manifest(out: Path, args, truncation: dict, validity_flags: list[str]
 
 
 def cmd_potentials(args) -> int:
+    from .potentials import superpotential, u_eff, v_eff
+
     params = CatenoidParams(args.R)
     u = np.linspace(args.umin, args.umax, args.samples)
     header = ["u", "V_eff1", "V_eff2", "W"]
@@ -142,6 +110,11 @@ def cmd_potentials(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .analytic import (QuantumNumbers, constant_case_rspace_potential, energy_constant_case, energy_pdfv,
+                           scarf_endpoint_kappa, scarf_params_physical)
+    from .numeric import SPECTRUM_POINTS, X_DELTA, compact_levels, scarf_levels
+    from .potentials import scarf_form_pdfv
+
     params = CatenoidParams(args.R)
     pdfv = args.lam is not None
     validity_flags: list[str] = []
@@ -206,6 +179,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_wavefunction(args) -> int:
+    from .analytic import (QuantumNumbers, eigenfunction_constant_case, eigenfunction_pdfv, energy_constant_case,
+                           scarf_params_physical)
+    from .numeric import trapezoid_norm
+
     params = CatenoidParams(args.R)
     qn = QuantumNumbers(args.n, args.m)
     u = np.linspace(args.umin, args.umax, args.samples)
@@ -249,6 +226,8 @@ def _partner_shift(W, dW, levels, count: int):
     Compares the partner levels E2_n with the first-system levels E1_(n+1)
     for n < count; returns (E1_0, rows, worst relative discrepancy).
     """
+    from .potentials import partner_potentials_from_W
+
     e1 = levels(lambda x: partner_potentials_from_W(W, x, dW)[0], count + 2).eigenvalues
     e2 = levels(lambda x: partner_potentials_from_W(W, x, dW)[1], count + 1).eigenvalues
     rows = []
@@ -265,6 +244,12 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 
 
 def cmd_susy_check(args) -> int:
+    from .analytic import scarf_params_physical
+    from .numeric import Grid, box_levels, scarf_levels
+    from .potentials import partner_potentials_from_W, superpotential, superpotential_derivative, v_eff
+    from .susy import (LadderDirection, apply_ladder, catenoid_ground_state, catenoid_ground_state_derivative,
+                       check_intertwining)
+
     params = CatenoidParams(args.R)
     checks = []
     validity_flags: list[str] = []
@@ -327,6 +312,9 @@ FIGURE_BOX = (40.0, 16001)  # half-width in units of R and samples of the densit
 
 
 def cmd_report_figures(args) -> int:
+    from .analytic import QuantumNumbers, eigenfunction_constant_case, energy_constant_case
+    from .numeric import trapezoid_norm
+
     params = CatenoidParams(args.R)
     caveat = energy_constant_case(params, args.vf, QuantumNumbers(1, FIGURE_M)).reason
     if not args.allow_invalid:
@@ -423,15 +411,17 @@ def _check_inputs(args) -> None:
     resolve), samples >= 2, umin < umax, and R^2 + u^2 finite at the ends
     of each u range (its power 1.5 for potentials; report-figures also at
     +-40R), with --lambda also 4 v_F^2 and v_F'^2."""
-    CatenoidParams(args.R)
+    params = CatenoidParams(args.R)
     ConstantVF(args.vf)
     if hasattr(args, "m") and not abs(args.m) <= 2**53:
         raise ValueError(f"|--m| must be at most 2**53, got {args.m}")
     if getattr(args, "lam", None) is not None:
         ScarfVF(args.lam)
     if hasattr(args, "n"):
+        from .analytic import QuantumNumbers
         QuantumNumbers(args.n, args.m)
     if args.command == "spectrum":  # numeric levels 0..n plus the two spare ones fit the grid
+        from .numeric import SPECTRUM_POINTS
         n_max = ANALYTIC_N_MAX if args.mode == "analytic" else SPECTRUM_POINTS - 3
         if args.n > n_max:
             raise ValueError(f"--n must be at most {n_max} with --mode {args.mode}, got {args.n}")
@@ -449,11 +439,11 @@ def _check_inputs(args) -> None:
             ends.append(FIGURE_BOX[0] * args.R)
         with np.errstate(over="ignore"):
             for u in ends:
-                if not math.isfinite((args.R**2 + np.square(u)) ** power):
+                if not math.isfinite(metric_coefficient(params, u) ** power):
                     raise ValueError(f"(R^2 + u^2)^{power} overflows at u = {u:g}")
                 # with --lambda, vbar_eff divides by 4 v_F^2 and adds v_F'^2
                 if getattr(args, "lam", None) is not None and not np.isfinite(
-                        [4.0 * np.square(fermi_velocity(ScarfVF(args.lam), CatenoidParams(args.R), u)),
+                        [4.0 * np.square(fermi_velocity(ScarfVF(args.lam), params, u)),
                          np.square(2.0 * args.lam * u / args.R**2)]).all():
                     raise ValueError(f"4 v_F^2 or v_F'^2 overflows at u = {u:g}")
 

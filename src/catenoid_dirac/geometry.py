@@ -4,6 +4,9 @@ The surface of revolution with throat radius R is parametrized by the
 meridian coordinate u (u = 0 at the throat) and the parallel angle phi.
 All quantities are closed-form; the test suite cross-checks them against
 finite-difference constructions from the embedding.
+
+Every other module takes g = R^2 + u^2, rho = sqrt(g) and t = u/rho from
+here: ``metric_coefficient``, ``radius`` and ``spin_connection``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ __all__ = [
     "CatenoidParams",
     "embed",
     "metric_coefficient",
+    "radius",
     "gaussian_curvature",
     "spin_connection",
 ]
@@ -49,8 +53,13 @@ def embed(params: CatenoidParams, u: float, phi: float) -> np.ndarray:
 
 
 def metric_coefficient(params: CatenoidParams, u):
-    """Angular metric coefficient g_phiphi = R^2 + u^2 (g_uu is 1)."""
-    return params.R**2 + np.square(u)
+    """Metric coefficient g_phiphi = R^2 + u^2 (g_uu is 1); an int u squares as a float."""
+    return params.R**2 + np.square(u, dtype=float)
+
+
+def radius(params: CatenoidParams, u):
+    """Radius sqrt(R^2+u^2) of the parallel circle at meridian coordinate u."""
+    return np.sqrt(metric_coefficient(params, u))
 
 
 def gaussian_curvature(params: CatenoidParams, u):
@@ -59,7 +68,7 @@ def gaussian_curvature(params: CatenoidParams, u):
     Strictly negative and decaying to zero away from the throat.  The mean
     curvature vanishes identically: the catenoid is a minimal surface.
     """
-    g = params.R**2 + u * u
+    g = metric_coefficient(params, u)
     return -(params.R**2) / (g * g)
 
 
@@ -68,4 +77,4 @@ def spin_connection(params: CatenoidParams, u):
 
     Odd in u with limits +-1 far from the throat.
     """
-    return u / np.sqrt(params.R**2 + np.square(u))
+    return u / radius(params, u)

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CatenoidParams
+from .geometry import CatenoidParams, metric_coefficient, radius
 
 __all__ = [
     "ConstantVF",
@@ -89,12 +89,12 @@ def _check_x(x) -> np.ndarray:
 
 def superpotential(params: CatenoidParams, m: int, u):
     """W(u) = m/sqrt(R^2+u^2)."""
-    return m / np.sqrt(params.R**2 + np.square(u))
+    return m / radius(params, u)
 
 
 def superpotential_derivative(params: CatenoidParams, m: int, u):
     """Analytic dW/du = -m*u/(R^2+u^2)^(3/2)."""
-    g = params.R**2 + np.square(u)
+    g = metric_coefficient(params, u)
     return -m * u / g**1.5
 
 
@@ -102,7 +102,7 @@ def v_eff(params: CatenoidParams, m: int, u):
     """Effective potential for constant Fermi velocity,
     m^2/(R^2+u^2) + m*u/(R^2+u^2)^(3/2); the second spinor component is
     the first at -m."""
-    g = params.R**2 + np.square(u)
+    g = metric_coefficient(params, u)
     return m**2 / g + m * u / g**1.5
 
 
@@ -116,7 +116,7 @@ def partner_potentials_from_W(W: Callable, u, dW: Callable):
 
 def sigma_lambda(params: CatenoidParams, m: int, u):
     """Decoupling functions (Sigma, Lambda); Sigma - Lambda = 2W."""
-    g = params.R**2 + np.square(u)
+    g = metric_coefficient(params, u)
     drift = u / (2.0 * g)
     w = m / np.sqrt(g)
     return w - drift, -w - drift
@@ -131,7 +131,7 @@ def fermi_velocity(profile: ConstantVF | ScarfVF, params: CatenoidParams, u):
 
 def kappa(profile: ConstantVF | ScarfVF, params: CatenoidParams, u):
     """Similarity weight (R^2+u^2)^(1/4)/sqrt(v_F(u))."""
-    return (params.R**2 + np.square(u)) ** 0.25 / np.sqrt(fermi_velocity(profile, params, u))
+    return metric_coefficient(params, u) ** 0.25 / np.sqrt(fermi_velocity(profile, params, u))
 
 
 def vbar_eff(profile: ConstantVF | ScarfVF, params: CatenoidParams, m: int, u):
@@ -146,7 +146,7 @@ def vbar_eff(profile: ConstantVF | ScarfVF, params: CatenoidParams, m: int, u):
     # v_F and its analytic derivatives
     lam, R2 = profile.lam, params.R**2
     vf, vfp, vfpp = fermi_velocity(profile, params, u), 2.0 * lam * u / R2, 2.0 * lam / R2
-    root = np.sqrt(params.R**2 + np.square(u))
+    root = radius(params, u)
     return -(vfp**2 - 2.0 * vf * (2.0 * m * vfp / root + vfpp)) / (4.0 * vf**2)
 
 

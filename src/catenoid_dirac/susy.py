@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import CatenoidParams
+from .geometry import CatenoidParams, radius
 from .numeric import Grid, first_derivative, second_derivative
 from .potentials import partner_potentials_from_W, sigma_lambda
 
@@ -67,14 +67,13 @@ def catenoid_ground_state(params: CatenoidParams, m: int, u):
     the truncated-domain norm rather than assume boundedness.
     """
     u = np.asarray(u, dtype=float)
-    return 2.0 ** (-m) * (u + np.sqrt(params.R**2 + u * u)) ** (-m)
+    return 2.0 ** (-m) * (u + radius(params, u)) ** (-m)
 
 
 def catenoid_ground_state_derivative(params: CatenoidParams, m: int, u):
     """Analytic derivative of the closed-form zero mode."""
     u = np.asarray(u, dtype=float)
-    root = np.sqrt(params.R**2 + u * u)
-    return -m / root * catenoid_ground_state(params, m, u)
+    return -m / radius(params, u) * catenoid_ground_state(params, m, u)
 
 
 def check_intertwining(W: Callable, dW: Callable, grid: Grid, f: np.ndarray) -> float:

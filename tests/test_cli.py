@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catenoid_dirac
-from catenoid_dirac import _csv_rows, cli, numeric
+from catenoid_dirac import _csv_rows, cli, numeric, potentials, susy
 from catenoid_dirac._csv_rows import CSV_UNIT_CELLS, E_MAX, E_MIN, csv_text
 from catenoid_dirac.cli import (
     _check_inputs,
@@ -269,9 +269,9 @@ class TestSusyCheck:
     def test_injected_error_fails(self, tmp_path, monkeypatch):
         # a corrupted W breaks both partner identities, a corrupted zero-mode
         # derivative the annihilation check
-        superpotential, derivative = cli.superpotential, cli.catenoid_ground_state_derivative
-        monkeypatch.setattr(cli, "superpotential", lambda *a: superpotential(*a) + 0.5)
-        monkeypatch.setattr(cli, "catenoid_ground_state_derivative", lambda *a: derivative(*a) + 0.5)
+        superpotential, derivative = potentials.superpotential, susy.catenoid_ground_state_derivative
+        monkeypatch.setattr(potentials, "superpotential", lambda *a: superpotential(*a) + 0.5)
+        monkeypatch.setattr(susy, "catenoid_ground_state_derivative", lambda *a: derivative(*a) + 0.5)
         out = tmp_path / "susybad.json"
         rc = main(["susy-check", "--m", "2", "--out", str(out)])
         assert rc == 1
@@ -662,7 +662,7 @@ def test_write_csv_raises_what_the_helper_thread_raised(tmp_path, monkeypatch):
             raise ArithmeticError("formatting failed in the helper thread")
         return csv_text(rows)
 
-    monkeypatch.setattr(cli, "csv_text", helper_fails)
+    monkeypatch.setattr(_csv_rows, "csv_text", helper_fails)
     before = set(threading.enumerate())
     with pytest.raises(ArithmeticError, match="helper thread"):
         _write_csv(tmp_path / "out.csv", ["u"], [np.arange(4.0 * CSV_UNIT_CELLS)])
@@ -722,7 +722,7 @@ def test_write_csv_leaves_no_partial_file_on_failure(tmp_path, monkeypatch, caps
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return csv_text(rows)
 
-        monkeypatch.setattr(cli, "csv_text", disk_full_on_fifth)
+        monkeypatch.setattr(_csv_rows, "csv_text", disk_full_on_fifth)
     else:
         monkeypatch.setattr(cli, "open", _FullDisk, raising=False)
     out = tmp_path / "part.csv"
@@ -814,6 +814,24 @@ def _python(code, cwd=None, lines=None):
 
 def test_import_leaves_out_scipy():
     assert _python(f"import sys, catenoid_dirac.cli; {SCIPY_MODULES}") == "[]"
+
+
+# prints the sorted names of the loaded package modules
+PACKAGE_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'catenoid_dirac'))"
+
+
+def test_import_loads_only_what_parsing_and_checks_need():
+    # each command imports the modules it runs when it runs
+    assert _python(f"import sys, catenoid_dirac.cli; {PACKAGE_MODULES}") == str(
+        ["catenoid_dirac", "catenoid_dirac.cli", "catenoid_dirac.geometry", "catenoid_dirac.potentials"])
+
+
+def test_potentials_loads_no_closed_form_module(tmp_path):
+    code = (f"import sys; from catenoid_dirac.cli import main; "
+            f"assert main(['potentials', '--lambda', '1', '--out', 'out.csv']) == 0; {PACKAGE_MODULES}")
+    assert _python(code, cwd=tmp_path) == str(
+        ["catenoid_dirac", "catenoid_dirac._csv_rows", "catenoid_dirac.cli", "catenoid_dirac.geometry",
+         "catenoid_dirac.numeric", "catenoid_dirac.potentials"])
 
 
 # no command loads a scipy module; the id says whether the command
