@@ -1,8 +1,8 @@
 """Special functions needed by the closed-form solutions.
 
-Jacobi and Hermite polynomials by three-term recurrence, the Kummer
-confluent hypergeometric M by its power series, parabolic cylinder
-functions through the two-Kummer representation.
+Jacobi and Hermite polynomials by three-term recurrence, the Kummer M by
+its power series, tested for convergence once per block of five terms,
+parabolic cylinder functions through the two-Kummer representation.
 
 Jacobi and Hermite take arrays.  ``kummer_m`` and ``parabolic_cylinder_d``
 take a scalar or an array z: a scalar (a Python float, a numpy scalar or a
@@ -26,6 +26,10 @@ __all__ = [
 ]
 
 _KUMMER_MAX_TERMS = 500
+# the Kummer series' float term indices 0, ..., 499 in blocks of at most five; the blocks of
+# _BLOCKS[r] end at r, r + 5, ... and 499, so that a series ending at term -a ends a block
+_BLOCKS = [[tuple(map(float, range(s + 1, e + 1))) for s, e in zip([-1, *ends], ends)]
+           for ends in ([*range(r, _KUMMER_MAX_TERMS - 1, 5), _KUMMER_MAX_TERMS - 1] for r in range(5))]
 # non-integer orders lose digits to cancellation between the two Kummer terms (ROADMAP
 # item 4): near nu = -20 the relative error is 2e-8 at z = 2, 3 at z = 4 and 1.5e9 at z = 6
 _PCF_MAX_Z_NONINTEGER = 6.0
@@ -111,10 +115,15 @@ def kummer_m(a: float, b: float, z):
     c = b + k + 1 > 0, so no term after the one added at step k grows when
     |z| max(c, |a + k + 1|) < c (k + 2).  A tiny term can come before
     growing ones: M(1e-20, 1, 50) = 2.0586, not the 1.0 of its first term.
+    Both stops are tested at the last term of each block of five, which
+    moves no bit: a term after the one at which the test first holds is
+    below half an ulp of the sum (2^-54 of it or more), so adding it leaves
+    the sum as it is, and a terminating series' blocks end at its last term.
     A scalar z returns a float; an array z is summed in one loop over the
     elements that have not yet converged and returns an array of its shape.
     A NaN or infinite a, b or z, scalar or in an array, raises ValueError, as
-    does a Python int beyond the float range.
+    does a Python int beyond the float range.  A series that does not
+    converge in 500 terms or leaves the float range raises ArithmeticError.
     """
     scalar = _is_scalar(z)
     try:
@@ -135,8 +144,8 @@ def kummer_m(a: float, b: float, z):
     out = np.empty_like(z)
     # Kummer's transformation (DLMF 13.2.39) avoids the alternating series
     flip = (z < 0.0) & (not _terminates(a))
-    out[~flip] = _kummer_series(a, b, z[~flip])
-    out[flip] = np.exp(z[flip]) * _kummer_series(b - a, b, -z[flip])
+    out[~flip] = _kummer_series(a, b, z[~flip], a, 1.0)
+    out[flip] = np.exp(z[flip]) * _kummer_series(b - a, b, -z[flip], a, -1.0)
     return out
 
 
@@ -150,49 +159,59 @@ def _terminates(a: float) -> bool:
     return a <= 0.0 and a == int(a)
 
 
-def _kummer_scalar(a: float, b: float, z: float) -> float:
+def _kummer_scalar(a: float, b: float, z: float, caller: tuple | None = None) -> float:
     terminating = _terminates(a)
     if z < 0.0 and not terminating:
-        return math.exp(z) * _kummer_scalar(b - a, b, -z)
+        return math.exp(z) * _kummer_scalar(b - a, b, -z, (a, b, z))
     total = 1.0
     term = 1.0
-    for k in range(_KUMMER_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        if terminating and a + k == 0.0:
+    for block in _BLOCKS[int(-a) % 5 if terminating else 4]:
+        for k in block:
+            term *= (a + k) * z / ((b + k) * (k + 1.0))
+            total += term
+        if not math.isfinite(total):  # an overflowed sum never returns to the float range
+            break
+        if terminating and a + k >= 0.0:
             return total
         if abs(term) < 1e-17 * abs(total):
             c = b + k + 1.0
             if abs(z) * max(c, abs(a + k + 1.0)) < c * (k + 2.0):  # see kummer_m
                 return total
-    raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z}")
+    raise ArithmeticError("Kummer series did not converge for a={}, b={}, z={}".format(*(caller or (a, b, z))))
 
 
-def _kummer_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
+def _kummer_series(a: float, b: float, z: np.ndarray, caller_a: float, sign: float) -> np.ndarray:
     """The series of _kummer_scalar, term for term, on a 1-D array z; each
-    element leaves the loop at the step at which its own sum converges."""
+    element leaves the loop at the block in which its own sum converges.
+    An ArithmeticError names caller_a, b and sign * z."""
     terminating = _terminates(a)
     out = np.empty_like(z)
     idx = np.arange(z.size)
     term = np.ones_like(z)
     total = np.ones_like(z)
     z_max = np.abs(z).max(initial=0.0)
-    for k in range(_KUMMER_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        done = np.abs(term) < 1e-17 * np.abs(total)
-        c = b + k + 1.0
-        growth = max(c, abs(a + k + 1.0))
-        if z_max * growth >= c * (k + 2.0):  # some terms may still grow: see kummer_m
-            done &= np.abs(z) * growth < c * (k + 2.0)
-        if terminating and a + k == 0.0:
-            done[:] = True
-        out[idx[done]] = total[done]
-        keep = ~done
-        idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
-        if not idx.size:
-            return out
-    raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z[0]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum raises below
+        for block in _BLOCKS[int(-a) % 5 if terminating else 4]:
+            for k in block:
+                term *= (a + k) * z / ((b + k) * (k + 1.0))
+                total += term
+            finite = np.isfinite(total)
+            if not finite.all():
+                z = z[~finite]
+                break
+            done = np.abs(term) < 1e-17 * np.abs(total)
+            c = b + k + 1.0
+            growth = max(c, abs(a + k + 1.0))
+            if z_max * growth >= c * (k + 2.0):  # some terms may still grow: see kummer_m
+                done &= np.abs(z) * growth < c * (k + 2.0)
+            if terminating and a + k >= 0.0:
+                done[:] = True
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, z, term, total = idx[keep], z[keep], term[keep], total[keep]
+            if not idx.size:
+                return out
+    raise ArithmeticError(f"Kummer series did not converge for a={caller_a}, b={b}, z={sign * z[0]}")
 
 
 def hermite(n: int, x):
@@ -228,12 +247,12 @@ def parabolic_cylinder_d(nu: float, z):
         z = math.inf
     if not (abs(z) <= z_max if scalar else np.all(np.abs(z) <= z_max)):
         raise ValueError(f"argument out of supported range |z| <= {z_max} for nu={nu}")
-    exp = math.exp if scalar else np.exp
+    exp, m = (math.exp, _kummer_scalar) if scalar else (np.exp, kummer_m)  # z z / 2 <= 200 passes kummer_m's checks
     if not (scalar or is_int):  # the two terms cancel, so an ulp of np.exp against math.exp grows
         exp = np.vectorize(math.exp, otypes=[float])  # into the digits an array z and a float z share
     pre = 2.0 ** (nu / 2.0) * exp(-z * z / 4.0)
     c1 = 0.0 if is_int and nu % 2.0 == 1.0 else math.sqrt(math.pi) / math.gamma((1.0 - nu) / 2.0)
     c2 = 0.0 if is_int and nu % 2.0 == 0.0 else math.sqrt(2.0 * math.pi) / math.gamma(-nu / 2.0)
-    term1 = c1 * kummer_m(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0
-    term2 = c2 * kummer_m((1.0 - nu) / 2.0, 1.5, z * z / 2.0) if c2 != 0.0 else 0.0
+    term1 = c1 * m(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0
+    term2 = c2 * m((1.0 - nu) / 2.0, 1.5, z * z / 2.0) if c2 != 0.0 else 0.0
     return pre * term1 - pre * term2 * z  # z last: a subnormal z scaled by c2 first loses digits

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -301,6 +302,111 @@ class TestArrayInput:
         with pytest.raises(ArithmeticError, match=r"a=0\.5, b=1\.5, z=600\.0"):  # scalar z
             kummer_m(0.5, 1.5, 600.0)
 
+    @pytest.mark.parametrize("z", [-600.0, np.array([1.0, -600.0, 2.0])], ids=["scalar", "array"])
+    def test_kummer_no_convergence_names_the_callers_arguments(self, z):
+        # Kummer's transformation sums M(1, 1.5, 600), which the error does not name
+        with pytest.raises(ArithmeticError, match=r"a=0\.5, b=1\.5, z=-600\.0"):
+            kummer_m(0.5, 1.5, z)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, z", [(1e300, 1.0, [1.0, 0.5]), (1.0, 1e-310, [1.0]), (-1e300, 1.0, [1.0]),
+                                         (1e10, 1.0, [1.28e-5])])  # converges with an infinite sum
+    def test_kummer_overflowing_series_raises_without_a_warning(self, a, b, z):
+        for arg in (np.array(z), z[0]):
+            with pytest.raises(ArithmeticError, match=re.escape(f"a={a}, b={b}, z={z[0]}")):
+                kummer_m(a, b, arg)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b, z, m", [(0.0, 1.0, 1e308, 1.0), (-1.0, 1.0, 1e308, -1e308),
+                                            (-1.0, -2.9999999999999996, 1e295, 1e295 / 2.9999999999999996)])
+    def test_kummer_terminating_series_sums_no_term_after_its_last(self, a, b, z, m):
+        # a later term would be 0 times a ratio that overflows: NaN
+        assert kummer_m(a, b, z) == m
+        assert np.array_equal(kummer_m(a, b, np.array([z, 1.0])), [m, kummer_m(a, b, 1.0)])
+
+
+def _per_term_kummer(a, b, z):
+    """kummer_m's scalar series with both stops tested after every term:
+    the reference that TestBitIdentity holds the block-of-five tests to."""
+    terminating = a <= 0.0 and a == int(a)
+    if z < 0.0 and not terminating:
+        return math.exp(z) * _per_term_kummer(b - a, b, -z)
+    total = 1.0
+    term = 1.0
+    for k in range(500):
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        total += term
+        if terminating and a + k == 0.0:
+            return total
+        if abs(term) < 1e-17 * abs(total):
+            c = b + k + 1.0
+            if abs(z) * max(c, abs(a + k + 1.0)) < c * (k + 2.0):  # see kummer_m
+                return total
+    raise ArithmeticError(f"Kummer series did not converge for a={a}, b={b}, z={z}")
+
+
+def _per_term_pcf(nu, z):
+    """parabolic_cylinder_d's scalar path on a valid (nu, z), with the
+    per-term series."""
+    nu = 0.0 if abs(nu) < 1e-300 else nu
+    is_int = nu >= 0.0 and nu == int(nu)
+    pre = 2.0 ** (nu / 2.0) * math.exp(-z * z / 4.0)
+    c1 = 0.0 if is_int and nu % 2.0 == 1.0 else math.sqrt(math.pi) / math.gamma((1.0 - nu) / 2.0)
+    c2 = 0.0 if is_int and nu % 2.0 == 0.0 else math.sqrt(2.0 * math.pi) / math.gamma(-nu / 2.0)
+    term1 = c1 * _per_term_kummer(-nu / 2.0, 0.5, z * z / 2.0) if c1 != 0.0 else 0.0
+    term2 = c2 * _per_term_kummer((1.0 - nu) / 2.0, 1.5, z * z / 2.0) if c2 != 0.0 else 0.0
+    return pre * term1 - pre * term2 * z
+
+
+@st.composite
+def _pcf_order_and_argument(draw):
+    """An order of the terminating Hermite form with |z| <= 20, or one of
+    the two-Kummer representation with |z| <= 6."""
+    if draw(st.booleans()):
+        return float(draw(st.integers(0, 20))), draw(st.floats(-20.0, 20.0))
+    nu = draw(st.floats(-20.0, 20.0).filter(lambda v: v < 0.0 or v != int(v)))
+    return nu, draw(st.floats(-6.0, 6.0))
+
+
+_bench_b = st.floats(0.5, 10.0)
+_kummer_args = st.one_of(  # the closed-forms benchmark's ranges, and the edges of the block tests
+    st.builds(lambda ab, z: (*ab, z), _kummer_ab(), st.floats(-50.0, 50.0)),
+    st.tuples(st.integers(-30, 0).map(float), _bench_b, st.floats(-50.0, 50.0)),  # terminating
+    st.tuples(st.just(1e-20), _bench_b, st.floats(-50.0, 50.0)),  # a tiny term before growing ones
+    st.tuples(st.floats(-10.0, 10.0), _bench_b, st.sampled_from([0.0, -0.0])),
+    st.tuples(st.just(1.0), st.just(1.0), st.floats(330.0, 336.0)),  # stops at term 493 to 499, or never
+)
+
+
+class TestBitIdentity:
+    """Testing convergence once per block of terms moves no bit: each
+    result equals that of the per-term series, and where that raised or
+    left the float range, kummer_m raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_kummer_args)
+    @example((1e-20, 1.0, 50.0))  # 2.0586, not the 1.0 of its first term
+    @example((0.0, 1.0, 1e308))  # a term after the last would be 0 times an overflowed ratio
+    @example((1.0, 1.0, 335.0))  # the last term of the budget
+    @example((1.0, 1.0, 335.25))  # one step past it
+    @example((1e10, 1.0, 1.28e-5))  # the per-term series returned inf
+    def test_kummer_scalar_matches_per_term_series(self, args):
+        try:
+            ref = _per_term_kummer(*args)
+        except ArithmeticError:
+            ref = math.nan
+        if math.isfinite(ref):
+            assert kummer_m(*args).hex() == ref.hex(), args
+        else:
+            with pytest.raises(ArithmeticError, match=re.escape("a={}, b={}, z={}".format(*args))):
+                kummer_m(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_pcf_order_and_argument())
+    @example((1.0, 2.225073858507e-311))  # a subnormal z
+    def test_pcf_scalar_matches_per_term_series(self, nu_z):
+        assert parabolic_cylinder_d(*nu_z).hex() == _per_term_pcf(*nu_z).hex(), nu_z
+
 
 # -- against mpmath ---------------------------------------------------------
 
@@ -356,16 +462,6 @@ def _kummer_bound(a, b, z):
             + abs(b * mpmath.diff(lambda p: _hyp1f1(a, p, z), b))
             + abs(z * a / b * _hyp1f1(a + 1, b + 1, z)))
     return _hyp1f1(a, b, z), 8 * (terms + 1) * U * (moduli + cond)
-
-
-@st.composite
-def _pcf_order_and_argument(draw):
-    """An order of the terminating Hermite form with |z| <= 20, or one of
-    the two-Kummer representation with |z| <= 6."""
-    if draw(st.booleans()):
-        return float(draw(st.integers(0, 20))), draw(st.floats(-20.0, 20.0))
-    nu = draw(st.floats(-20.0, 20.0).filter(lambda v: v < 0.0 or v != int(v)))
-    return nu, draw(st.floats(-6.0, 6.0))
 
 
 class TestAgainstMpmath:
